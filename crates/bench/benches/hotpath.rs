@@ -17,9 +17,9 @@ use std::collections::HashMap;
 use std::hint::black_box;
 use std::time::Instant;
 
-use cc_bench::{contention, detected_cores, medium_web};
+use cc_bench::{contention, detected_cores, medium_study, medium_web};
 use cc_core::extract::{extract_tokens, Extracted};
-use cc_crawler::{crawl_parallel, CrawlConfig, ParallelCrawlConfig, Walker};
+use cc_crawler::{crawl_study, CrawlConfig, StudyConfig, Walker};
 use cc_net::SimTime;
 use cc_url::percent::{decode_component, looks_encoded};
 use cc_url::Url;
@@ -355,6 +355,10 @@ fn hotpath_report() {
         max_walks: Some(50),
         ..CrawlConfig::default()
     };
+    let study = StudyConfig {
+        walks: Some(50),
+        ..medium_study(1)
+    };
     // Best-of-N: a 50-walk crawl is ~tens of ms, so one scheduler hiccup
     // would dominate a single reading.
     let runs = 5;
@@ -371,11 +375,11 @@ fn hotpath_report() {
     let mut par_ds = None;
     for _ in 0..runs {
         let start = Instant::now();
-        let ds = crawl_parallel(web, &cfg, ParallelCrawlConfig::with_workers(1));
+        let ds = crawl_study(web, &study).expect("crawl runs");
         par_ms = par_ms.min(start.elapsed().as_secs_f64() * 1e3 / ds.walks.len() as f64);
         par_ds = Some(ds);
     }
-    let par_ds = par_ds.expect("at least one parallel run");
+    let par_ds = par_ds.expect("at least one executor run");
     assert_eq!(serial_ds, par_ds, "1-worker executor diverged from serial");
 
     // Telemetry counter hot path: 4 threads hammering one counter through

@@ -20,8 +20,8 @@
 
 use std::time::Instant;
 
-use cc_bench::{contention, detected_cores, medium_web};
-use cc_crawler::{crawl_parallel, CrawlConfig, ParallelCrawlConfig, Walker};
+use cc_bench::{contention, detected_cores, medium_study, medium_web};
+use cc_crawler::{crawl_study, CrawlConfig, Walker};
 use cc_telemetry::{RunReport, Session};
 use criterion::{criterion_group, Criterion};
 use serde::Serialize;
@@ -41,17 +41,13 @@ fn crawl_cfg() -> CrawlConfig {
 /// world with the same config.
 fn bench_workers(c: &mut Criterion) {
     let web = medium_web();
-    let cfg = crawl_cfg();
     let mut group = c.benchmark_group("parallel");
     group.sample_size(10);
     for workers in WORKER_COUNTS {
+        let study = medium_study(workers);
         group.bench_function(format!("crawl_250_walks/{workers}_workers"), |b| {
             b.iter(|| {
-                let ds = crawl_parallel(
-                    black_box(web),
-                    black_box(&cfg),
-                    ParallelCrawlConfig::with_workers(workers),
-                );
+                let ds = crawl_study(black_box(web), black_box(&study)).expect("crawl runs");
                 black_box(ds.total_steps())
             })
         });
@@ -183,12 +179,13 @@ fn speedup_report() {
     println!("\nparallel crawl speedup (medium world, 250 walks, {cores} CPU core(s)):");
     println!("  serial baseline: {serial_secs:7.3}s  walk span {serial_walk_span_mean_ms:.2}ms");
     for workers in WORKER_COUNTS {
+        let study = medium_study(workers);
         let worker_span_before = span_totals(&session.report(), "crawl.worker/crawl.walk");
         let mut secs = f64::INFINITY;
         let mut last = None;
         for _ in 0..TIMING_RUNS {
             let start = Instant::now();
-            let ds = crawl_parallel(web, &cfg, ParallelCrawlConfig::with_workers(workers));
+            let ds = crawl_study(web, &study).expect("crawl runs");
             secs = secs.min(start.elapsed().as_secs_f64());
             last = Some(ds);
         }
@@ -223,12 +220,16 @@ fn speedup_report() {
             );
         }
 
+        // Every worker must report its gauge: a missing one is a failure,
+        // not a fair split, or the bound below would pass on no data.
         let gauges = session.report().timing.gauges;
         let max_starvation = (0..workers)
-            .filter_map(|w| {
-                gauges
+            .map(|w| {
+                *gauges
                     .get(&format!("crawl.worker.queue_starvation.{w}"))
-                    .copied()
+                    .unwrap_or_else(|| {
+                        panic!("{workers}-worker run reported no starvation gauge for worker {w}")
+                    })
             })
             .fold(0.0_f64, f64::max);
         assert!(

@@ -11,7 +11,7 @@
 use std::sync::OnceLock;
 
 use cc_core::pipeline::PipelineOutput;
-use cc_crawler::{CrawlConfig, CrawlDataset, Walker};
+use cc_crawler::{CrawlConfig, CrawlDataset, StudyConfig, Walker};
 use cc_web::{generate, SimWeb, WebConfig};
 
 /// A fully-built study fixture: world, crawl dataset, pipeline output.
@@ -163,16 +163,33 @@ pub fn small_web() -> &'static SimWeb {
     WEB.get_or_init(|| generate(&WebConfig::small()))
 }
 
-/// A medium world (800 sites / 250 seeders) for the parallel-executor
-/// benches: big enough that per-walk work dominates thread overheads.
+/// The medium world's configuration: 800 sites / 250 seeders.
+fn medium_web_config() -> WebConfig {
+    WebConfig {
+        seed: 0x9A7A11E1,
+        n_sites: 800,
+        n_seeders: 250,
+        ..WebConfig::default()
+    }
+}
+
+/// A medium world for the parallel-executor benches: big enough that
+/// per-walk work dominates thread overheads.
 pub fn medium_web() -> &'static SimWeb {
     static WEB: OnceLock<SimWeb> = OnceLock::new();
-    WEB.get_or_init(|| {
-        generate(&WebConfig {
-            seed: 0x9A7A11E1,
-            n_sites: 800,
-            n_seeders: 250,
-            ..WebConfig::default()
-        })
-    })
+    WEB.get_or_init(|| generate(&medium_web_config()))
+}
+
+/// The executor benches' study over [`medium_web`]: crawl seed
+/// `0x9A7A11E1`, five steps per walk, one walk per seeder, `workers`
+/// threads. Its lowered [`CrawlConfig`] is the serial reference the
+/// benches compare against.
+pub fn medium_study(workers: usize) -> StudyConfig {
+    StudyConfig::builder()
+        .web(medium_web_config())
+        .seed(0x9A7A11E1)
+        .steps(5)
+        .workers(workers)
+        .build()
+        .expect("static bench config is valid")
 }

@@ -284,15 +284,20 @@ proptest! {
         };
 
         let serial_web = generate(&cfg);
-        Walker::new(&serial_web, crawl_cfg.clone()).crawl();
+        Walker::new(&serial_web, crawl_cfg).crawl();
         let serial = uid_census(&serial_web);
 
-        let parallel_web = generate(&cfg);
-        cc_crawler::crawl_parallel(
-            &parallel_web,
-            &crawl_cfg,
-            cc_crawler::ParallelCrawlConfig::with_workers(workers),
-        );
+        let study = cc_crawler::StudyConfig::builder()
+            .web(cfg)
+            .seed(seed)
+            .steps(4)
+            .walks(12)
+            .failure_rate(0.0)
+            .workers(workers)
+            .build()
+            .unwrap();
+        let parallel_web = generate(&study.web);
+        cc_crawler::crawl_study(&parallel_web, &study).unwrap();
         let parallel = uid_census(&parallel_web);
 
         prop_assert_eq!(&serial, &parallel, "per-tracker UID counts diverged");

@@ -1,8 +1,9 @@
 //! The parallel crawl executor: work-stealing walk scheduling.
 //!
 //! The paper scales its crawl by running twelve EC2 instances over disjoint
-//! seeder ranges (§3.8, modeled by [`crate::shard`]). This module scales
-//! the *same* crawl over threads instead, through a [`WalkQueue`]: each
+//! seeder ranges (§3.8, run for real as cc-gaggle leases over
+//! [`crawl_walk_ids`]). Within one process this module scales the *same*
+//! crawl over threads, through a [`WalkQueue`]: each
 //! worker first drains a small contiguous block reserved for it, then
 //! claims adaptive batches from the shared tail as soon as it finishes,
 //! so long walks and short walks balance automatically — no worker idles
@@ -21,45 +22,20 @@
 //! * per-worker datasets merge through [`CrawlDataset::merge`], which
 //!   re-sorts by walk id and sums failure counters commutatively.
 //!
-//! Net effect: `crawl_parallel` with any worker count is **bit-identical**
-//! to [`Walker::crawl`] — the parallel-equivalence integration tests
-//! assert this on serialized JSON.
+//! Net effect: [`StudyRun`] with any worker count is **bit-identical** to
+//! [`Walker::crawl`] — the parallel-equivalence integration tests assert
+//! this on serialized JSON.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use cc_util::{CcError, ProgressCounters, ProgressSnapshot};
+use cc_util::{CcError, ProgressCounters};
 use cc_web::SimWeb;
 
 use crate::checkpoint::CrawlCheckpoint;
 use crate::config::{CheckpointPolicy, StudyConfig};
 use crate::record::{CrawlDataset, FailureStats, WalkRecord};
-use crate::walker::{CrawlConfig, Walker};
-
-/// Configuration of the parallel executor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ParallelCrawlConfig {
-    /// Worker threads claiming walks. `1` degenerates to a serial crawl
-    /// (still through the executor path, useful for comparisons).
-    pub n_workers: usize,
-}
-
-impl ParallelCrawlConfig {
-    /// A config with an explicit worker count (panics on zero).
-    pub fn with_workers(n_workers: usize) -> Self {
-        assert!(n_workers > 0, "need at least one worker");
-        ParallelCrawlConfig { n_workers }
-    }
-}
-
-impl Default for ParallelCrawlConfig {
-    /// One worker per available CPU.
-    fn default() -> Self {
-        ParallelCrawlConfig {
-            n_workers: std::thread::available_parallelism().map_or(1, |n| n.get()),
-        }
-    }
-}
+use crate::walker::Walker;
 
 /// The shared walk queue: per-worker reserved prefixes plus a batched
 /// common tail.
@@ -148,108 +124,6 @@ impl Iterator for WorkerClaims<'_> {
             // Lost the race; retry with the new head.
         }
     }
-}
-
-/// Crawl every walk of `cfg` using `par.n_workers` work-stealing workers.
-///
-/// Returns a dataset bit-identical to `Walker::new(web, cfg).crawl()`.
-pub fn crawl_parallel(web: &SimWeb, cfg: &CrawlConfig, par: ParallelCrawlConfig) -> CrawlDataset {
-    let progress = ProgressCounters::new(par.n_workers);
-    crawl_parallel_with_progress(web, cfg, par, &progress)
-}
-
-/// [`crawl_parallel`] plus a final throughput snapshot (walks/sec,
-/// steps/sec, per-worker shares).
-pub fn crawl_parallel_instrumented(
-    web: &SimWeb,
-    cfg: &CrawlConfig,
-    par: ParallelCrawlConfig,
-) -> (CrawlDataset, ProgressSnapshot) {
-    let progress = ProgressCounters::new(par.n_workers);
-    let dataset = crawl_parallel_with_progress(web, cfg, par, &progress);
-    let snapshot = progress.snapshot();
-    (dataset, snapshot)
-}
-
-/// The executor proper, updating caller-owned progress counters (so a
-/// monitor thread can snapshot a live crawl).
-pub fn crawl_parallel_with_progress(
-    web: &SimWeb,
-    cfg: &CrawlConfig,
-    par: ParallelCrawlConfig,
-    progress: &ProgressCounters,
-) -> CrawlDataset {
-    assert!(par.n_workers > 0, "need at least one worker");
-    let seeders = web.seeder_urls();
-    let limit = cfg.max_walks.unwrap_or(seeders.len()).min(seeders.len());
-
-    let queue = WalkQueue::new(limit, par.n_workers);
-    let seeders = &seeders[..limit];
-
-    let shards: Vec<CrawlDataset> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..par.n_workers)
-            .map(|worker| {
-                let queue = &queue;
-                let cfg = cfg.clone();
-                scope.spawn(move || {
-                    // Per-worker telemetry shard: every ID-addressed
-                    // counter/event/histogram touch in the walk loop stays
-                    // thread-private until the shard drains at worker
-                    // exit. Declared before the span so the worker span
-                    // drops (and records) into the shard, not after it.
-                    let _telemetry_shard = cc_telemetry::worker_shard();
-                    // Root span of this worker thread's trace: walk spans
-                    // nest under it.
-                    let _worker_span = cc_telemetry::span("crawl.worker");
-                    let mut walker = Walker::new(web, cfg);
-                    let mut shard = CrawlDataset::default();
-                    let mut claimed: u64 = 0;
-                    for walk_id in queue.worker(worker) {
-                        claimed += 1;
-                        let walk = walker.walk_public(
-                            walk_id as u32,
-                            seeders[walk_id].clone(),
-                            &mut shard.failures,
-                        );
-                        progress.record_walk(worker, walk.steps.len() as u64);
-                        shard.ledger.note(&walk);
-                        shard.walks.push(walk);
-                    }
-                    // Scheduling-dependent readings are gauges (timing
-                    // section), never counters: which worker claimed how
-                    // many walks varies run to run. Starvation compares a
-                    // worker's claims to its fair share — 0.0 is a fair
-                    // split, 1.0 a fully starved worker.
-                    if cc_telemetry::enabled() {
-                        let label = worker.to_string();
-                        let fair = seeders.len() as f64 / par.n_workers as f64;
-                        let starvation = if fair > 0.0 {
-                            (1.0 - claimed as f64 / fair).max(0.0)
-                        } else {
-                            0.0
-                        };
-                        cc_telemetry::gauge_labeled(
-                            "crawl.worker.walks_claimed",
-                            &label,
-                            claimed as f64,
-                        );
-                        cc_telemetry::gauge_labeled(
-                            "crawl.worker.queue_starvation",
-                            &label,
-                            starvation,
-                        );
-                    }
-                    shard
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("crawl worker panicked"))
-            .collect()
-    });
-
-    CrawlDataset::merge(shards)
 }
 
 /// A consumer of in-memory crawl snapshots — the in-process twin of the
@@ -374,7 +248,7 @@ impl WalkSinks<'_> {
 /// This is the [`StudyConfig`]-driven entry point: worker count, retry and
 /// breaker policies, and the checkpoint schedule all come from the config.
 /// The result is byte-identical to [`Walker::crawl`] with the lowered
-/// [`CrawlConfig`] — at any worker count, and whether the crawl ran
+/// [`CrawlConfig`](crate::CrawlConfig) — at any worker count, and whether the crawl ran
 /// uninterrupted or was killed and resumed.
 ///
 /// For resume / graceful-stop / snapshot-publishing / progress control,
@@ -515,20 +389,26 @@ fn crawl_ids_sharded(
                 let queue = &queue;
                 let cfg = study.crawl_config();
                 scope.spawn(move || {
-                    // Shard before span: the worker span must drop into
-                    // the shard before the shard drains.
+                    // Per-worker telemetry shard: every ID-addressed
+                    // counter/event/histogram touch in the walk loop stays
+                    // thread-private until the shard drains at worker
+                    // exit. Declared before the span so the worker span
+                    // drops (and records) into the shard, not after it.
                     let _telemetry_shard = cc_telemetry::worker_shard();
+                    // Root span of this worker thread's trace: walk spans
+                    // nest under it.
                     let _worker_span = cc_telemetry::span("crawl.worker");
                     let mut walker = Walker::new(web, cfg);
                     let mut shard = CrawlDataset::default();
+                    let mut claimed: u64 = 0;
                     for i in queue.worker(worker) {
+                        claimed += 1;
                         let walk_id = ids[i];
                         // Fresh per-walk failure accounting so checkpoints
                         // carry exact counts for exactly the walks they
                         // hold (sums commute into the same totals).
                         let mut wf = FailureStats::default();
-                        let walk =
-                            walker.walk_public(walk_id, seeders[walk_id as usize].clone(), &mut wf);
+                        let walk = walker.walk(walk_id, seeders[walk_id as usize].clone(), &mut wf);
                         progress.record_walk(worker, walk.steps.len() as u64);
                         if let Some(s) = sinks {
                             s.record(walk.clone(), wf);
@@ -536,6 +416,32 @@ fn crawl_ids_sharded(
                         shard.failures.absorb(wf);
                         shard.ledger.note(&walk);
                         shard.walks.push(walk);
+                    }
+                    // Scheduling-dependent readings are gauges (timing
+                    // section), never counters: which worker claimed how
+                    // many walks varies run to run. Starvation compares a
+                    // worker's claims to its fair share of the walks
+                    // actually queued (a resumed run queues only the
+                    // remainder) — 0.0 is a fair split, 1.0 a fully
+                    // starved worker.
+                    if cc_telemetry::enabled() {
+                        let label = worker.to_string();
+                        let fair = ids.len() as f64 / study.workers as f64;
+                        let starvation = if fair > 0.0 {
+                            (1.0 - claimed as f64 / fair).max(0.0)
+                        } else {
+                            0.0
+                        };
+                        cc_telemetry::gauge_labeled(
+                            "crawl.worker.walks_claimed",
+                            &label,
+                            claimed as f64,
+                        );
+                        cc_telemetry::gauge_labeled(
+                            "crawl.worker.queue_starvation",
+                            &label,
+                            starvation,
+                        );
                     }
                     shard
                 })
@@ -616,28 +522,29 @@ mod tests {
     use super::*;
     use cc_web::{generate, WebConfig};
 
-    fn cfg() -> CrawlConfig {
-        CrawlConfig {
-            seed: 5,
-            steps_per_walk: 3,
-            max_walks: Some(10),
-            connect_failure_rate: 0.02,
-            ..CrawlConfig::default()
-        }
+    fn study(workers: usize) -> StudyConfig {
+        StudyConfig::builder()
+            .web(WebConfig::small())
+            .seed(5)
+            .steps(3)
+            .walks(10)
+            .failure_rate(0.02)
+            .workers(workers)
+            .build()
+            .unwrap()
     }
 
     #[test]
     fn parallel_equals_serial_exactly() {
         let serial = {
             let web = generate(&WebConfig::small());
-            Walker::new(&web, cfg()).crawl()
+            Walker::new(&web, study(1).crawl_config()).crawl()
         };
         for workers in [1, 2, 3, 8] {
             // Fresh world per run: truth-ledger state must not leak
             // between crawls being compared.
             let web = generate(&WebConfig::small());
-            let parallel =
-                crawl_parallel(&web, &cfg(), ParallelCrawlConfig::with_workers(workers));
+            let parallel = crawl_study(&web, &study(workers)).unwrap();
             assert_eq!(serial, parallel, "{workers} workers diverged from serial");
         }
     }
@@ -645,9 +552,9 @@ mod tests {
     #[test]
     fn parallel_truth_ledger_matches_serial() {
         let web_a = generate(&WebConfig::small());
-        Walker::new(&web_a, cfg()).crawl();
+        Walker::new(&web_a, study(1).crawl_config()).crawl();
         let web_b = generate(&WebConfig::small());
-        crawl_parallel(&web_b, &cfg(), ParallelCrawlConfig::with_workers(4));
+        crawl_study(&web_b, &study(4)).unwrap();
         let (ta, tb) = (web_a.truth_snapshot(), web_b.truth_snapshot());
         assert_eq!(ta.len(), tb.len());
         assert_eq!(ta.uid_count(), tb.uid_count());
@@ -656,34 +563,27 @@ mod tests {
     #[test]
     fn workers_beyond_walks_are_harmless() {
         let web = generate(&WebConfig::small());
-        let few = CrawlConfig {
-            max_walks: Some(2),
-            ..cfg()
+        let few = StudyConfig {
+            walks: Some(2),
+            ..study(16)
         };
-        let ds = crawl_parallel(&web, &few, ParallelCrawlConfig::with_workers(16));
+        let ds = crawl_study(&web, &few).unwrap();
         assert_eq!(ds.walks.len(), 2);
         assert_eq!(ds.walks[0].walk_id, 0);
         assert_eq!(ds.walks[1].walk_id, 1);
     }
 
     #[test]
-    fn instrumented_run_reports_progress() {
+    fn run_reports_progress() {
         let web = generate(&WebConfig::small());
-        let (ds, snap) = crawl_parallel_instrumented(
-            &web,
-            &cfg(),
-            ParallelCrawlConfig::with_workers(2),
-        );
+        let progress = ProgressCounters::new(2);
+        let ds = StudyRun::new(&web, &study(2)).progress(&progress).run().unwrap();
+        let snap = progress.snapshot();
         assert_eq!(snap.walks as usize, ds.walks.len());
         assert_eq!(snap.steps as usize, ds.total_steps());
         assert_eq!(snap.per_worker.len(), 2);
         let worker_sum: u64 = snap.per_worker.iter().map(|w| w.walks).sum();
         assert_eq!(worker_sum, snap.walks);
-    }
-
-    #[test]
-    fn default_config_uses_available_parallelism() {
-        assert!(ParallelCrawlConfig::default().n_workers >= 1);
     }
 
     fn faulty_study(workers: usize, checkpoint: Option<(&str, usize)>) -> StudyConfig {

@@ -13,16 +13,15 @@
 //! * [`walker`] — ten-step random walks (§3.1) with the full failure
 //!   taxonomy: synchronization failure (no shared element, 7.6% in the
 //!   paper), divergence (clicked elements led to different FQDNs, 1.8%),
-//!   and connection failures (3.3%). Three interchangeable drivers
-//!   ([`DriverMode`]): deterministic lockstep, scoped threads, and the
-//!   paper's architecture — persistent crawler workers exchanging
-//!   messages with the central controller over crossbeam channels. All
-//!   three produce byte-identical datasets.
-//! * [`shard`] — the paper's deployment model (§3.8): twelve instances
-//!   crawling disjoint seeder ranges, merged losslessly.
-//! * [`executor`] — the parallel work-stealing executor: worker threads
-//!   claim global walk ids from a shared atomic counter, so the merged
-//!   dataset is bit-identical to a serial crawl at any worker count.
+//!   and connection failures (3.3%). The controller drives the three
+//!   parallel crawlers in lockstep; [`Walker::crawl`] is the serial
+//!   reference every other way of crawling is compared against.
+//! * [`executor`] — the one way to run a study: [`StudyRun`] /
+//!   [`crawl_study`] / [`crawl_walk_ids`], whose worker threads claim
+//!   global walk ids from a shared queue, so the merged dataset is
+//!   bit-identical to [`Walker::crawl`] at any worker count. The paper's
+//!   twelve-instance deployment (§3.8) runs as cc-gaggle leases over
+//!   [`crawl_walk_ids`].
 //! * [`record`] — the crawl dataset (serde-serializable, like the paper's
 //!   released dataset): per-step observations of storage snapshots,
 //!   clicked elements, navigation hops, and beacon requests.
@@ -36,15 +35,13 @@ pub mod executor;
 pub mod matching;
 pub mod names;
 pub mod record;
-pub mod shard;
 pub mod walker;
 
 pub use checkpoint::{CrawlCheckpoint, CHECKPOINT_SCHEMA};
 pub use config::{CheckpointPolicy, ServePolicy, StudyConfig, StudyConfigBuilder};
 pub use executor::{
-    crawl_parallel, crawl_parallel_instrumented, crawl_parallel_with_progress, crawl_study,
-    crawl_walk_ids, crawl_walk_ids_with_progress, ParallelCrawlConfig, PublishPolicy,
-    SnapshotSink, StudyRun, StudyRunOptions,
+    crawl_study, crawl_walk_ids, crawl_walk_ids_with_progress, PublishPolicy, SnapshotSink,
+    StudyRun, StudyRunOptions,
 };
 pub use matching::{same_element, select_shared};
 pub use names::{CrawlerName, UserId};
@@ -52,5 +49,4 @@ pub use record::{
     ClickedElement, CrawlDataset, CrawlObservation, FailureEntry, FailureLedger, FailureStats,
     StepRecord, WalkRecord, WalkTermination,
 };
-pub use shard::{crawl_sharded, merge, ShardPlan};
-pub use walker::{CrawlConfig, DriverMode, NavigationRewriter, Walker};
+pub use walker::{CrawlConfig, NavigationRewriter, Walker};

@@ -172,7 +172,6 @@ OPTIONS:
                    (two trackers per named species; see DESIGN.md §5f)
   --workers N      crawl with N work-stealing worker threads (0 = one per CPU);
                    results are bit-identical to the serial crawl
-  --parallel       persistent crawler workers on real threads
   --paper-scale    10,000 sites and seeders, as in the paper's §3.1
 
 FAULT TOLERANCE:
@@ -374,12 +373,11 @@ pub fn parse(args: &[String]) -> Result<Cli, CcError> {
                 let n = numeric(&mut it, "--workers")? as usize;
                 // 0 means "use every CPU", like `make -j` without a count.
                 workers = Some(if n == 0 {
-                    cc_crawler::ParallelCrawlConfig::default().n_workers
+                    std::thread::available_parallelism().map_or(1, |n| n.get())
                 } else {
                     n
                 });
             }
-            "--parallel" => study.mode = cc_crawler::DriverMode::PersistentWorkers,
             "--species" => {
                 let spec = path_arg(&mut it, "--species")?;
                 apply_species(&mut study.web, &spec)?;
@@ -1385,7 +1383,7 @@ mod tests {
     #[test]
     fn parse_options() {
         let cli = parse(&argv(
-            "crawl --seed 0xAB --sites 500 --seeders 100 --steps 4 --walks 20 --parallel --out d.json",
+            "crawl --seed 0xAB --sites 500 --seeders 100 --steps 4 --walks 20 --out d.json",
         ))
         .unwrap();
         assert_eq!(cli.command, Command::Crawl);
@@ -1395,7 +1393,6 @@ mod tests {
         assert_eq!(cli.study.web.n_seeders, 100);
         assert_eq!(cli.study.steps, 4);
         assert_eq!(cli.study.walks, Some(20));
-        assert_eq!(cli.study.mode, cc_crawler::DriverMode::PersistentWorkers);
         assert_eq!(cli.out.as_deref(), Some("d.json"));
     }
 
@@ -1816,6 +1813,10 @@ mod tests {
         assert!(parse(&argv("report --frobnicate")).is_err());
         assert!(parse(&argv("crawl")).is_err(), "crawl requires --out");
         assert!(parse(&argv("blocklist")).is_err());
+        assert!(
+            parse(&argv("crawl --parallel --out d.json")).is_err(),
+            "--parallel was removed; the walk driver is not selectable"
+        );
     }
 
     #[test]

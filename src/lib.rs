@@ -56,8 +56,8 @@ use std::sync::Arc;
 use cc_analysis::report::{full_report, AnalysisReport};
 use cc_core::pipeline::PipelineOutput;
 use cc_crawler::{
-    crawl_parallel_instrumented, CrawlCheckpoint, CrawlConfig, CrawlDataset, ParallelCrawlConfig,
-    PublishPolicy, SnapshotSink, StudyConfig, StudyRun, StudyRunOptions, Walker,
+    CrawlCheckpoint, CrawlConfig, CrawlDataset, PublishPolicy, SnapshotSink, StudyConfig,
+    StudyRun, StudyRunOptions, Walker,
 };
 use cc_util::{CcError, ProgressCounters, ProgressSnapshot};
 use cc_web::{generate, SimWeb, WebConfig};
@@ -70,12 +70,16 @@ pub struct Study {
     pub dataset: CrawlDataset,
     /// The pipeline output (findings, groups, paths).
     pub output: PipelineOutput,
-    /// Final per-worker crawl progress (parallel runs only).
+    /// Final per-worker crawl progress ([`StudyConfig`] runs only).
     pub progress: Option<ProgressSnapshot>,
 }
 
 impl Study {
-    /// Run a study with explicit world and crawl configurations.
+    /// Run a study with explicit world and crawl configurations, crawling
+    /// serially through [`Walker::crawl`]. This is the entry point for a
+    /// [`CrawlConfig`] carrying a [`cc_crawler::NavigationRewriter`] (an
+    /// in-browser defense); everything else goes through
+    /// [`Study::builder`], which is byte-identical at any worker count.
     pub fn run(web_config: &WebConfig, crawl_config: CrawlConfig) -> Self {
         let web = {
             let _span = telemetry::span("study.generate_web");
@@ -94,40 +98,6 @@ impl Study {
             dataset,
             output,
             progress: None,
-        }
-    }
-
-    /// Run a study crawling with `n_workers` work-stealing threads.
-    ///
-    /// Produces a `Study` bit-identical to [`Study::run`] with the same
-    /// configurations — walk randomness is keyed on global walk ids, so
-    /// parallelism changes wall-clock time, never results.
-    pub fn run_parallel(
-        web_config: &WebConfig,
-        crawl_config: CrawlConfig,
-        n_workers: usize,
-    ) -> Self {
-        let web = {
-            let _span = telemetry::span("study.generate_web");
-            generate(web_config)
-        };
-        let (dataset, progress) = {
-            let _span = telemetry::span("study.crawl");
-            crawl_parallel_instrumented(
-                &web,
-                &crawl_config,
-                ParallelCrawlConfig::with_workers(n_workers),
-            )
-        };
-        let output = {
-            let _span = telemetry::span("study.pipeline");
-            cc_core::run_pipeline(&dataset)
-        };
-        Study {
-            web,
-            dataset,
-            output,
-            progress: Some(progress),
         }
     }
 
@@ -374,8 +344,15 @@ mod tests {
             max_walks: Some(8),
             ..CrawlConfig::default()
         };
-        let serial = Study::run(&web_config, crawl_config.clone());
-        let parallel = Study::run_parallel(&web_config, crawl_config, 3);
+        let serial = Study::run(&web_config, crawl_config);
+        let config = StudyConfig::builder()
+            .web(web_config)
+            .steps(3)
+            .walks(8)
+            .workers(3)
+            .build()
+            .unwrap();
+        let parallel = Study::builder(&config).run().unwrap();
         assert_eq!(serial.dataset, parallel.dataset);
         assert_eq!(serial.output.groups.len(), parallel.output.groups.len());
     }

@@ -1,18 +1,17 @@
 //! Determinism and concurrency-equivalence guarantees.
 //!
 //! The entire stack — world generation, crawling, classification — must be
-//! bit-stable given a seed, and the threaded crawler must agree with the
-//! lockstep crawler on everything user-visible.
+//! bit-stable given a seed, and the threaded executor must agree with the
+//! serial lockstep crawler on everything user-visible.
 
-use cc_crawler::{CrawlConfig, DriverMode, Walker};
+use cc_crawler::{crawl_study, CrawlConfig, StudyConfig, Walker};
 use cc_web::{generate, WebConfig};
 
-fn cfg(seed: u64, mode: DriverMode) -> CrawlConfig {
+fn cfg(seed: u64) -> CrawlConfig {
     CrawlConfig {
         seed,
         steps_per_walk: 5,
         max_walks: Some(12),
-        mode,
         ..CrawlConfig::default()
     }
 }
@@ -24,7 +23,7 @@ fn whole_study_is_reproducible() {
             seed,
             ..WebConfig::small()
         });
-        let ds = Walker::new(&web, cfg(seed, DriverMode::Lockstep)).crawl();
+        let ds = Walker::new(&web, cfg(seed)).crawl();
         let out = cc_core::run_pipeline(&ds);
         (
             ds.to_json().unwrap(),
@@ -45,16 +44,25 @@ fn whole_study_is_reproducible() {
 }
 
 #[test]
-fn all_driver_modes_agree_end_to_end() {
+fn executor_agrees_with_lockstep_end_to_end() {
     let web = generate(&WebConfig::small());
-    let lock = Walker::new(&web, cfg(5, DriverMode::Lockstep)).crawl();
+    let lock = Walker::new(&web, cfg(5)).crawl();
     let lock_out = cc_core::run_pipeline(&lock);
 
-    for mode in [DriverMode::ScopedThreads, DriverMode::PersistentWorkers] {
-        let other = Walker::new(&web, cfg(5, mode)).crawl();
-        // Per-browser clocks and randomness streams make the datasets
-        // byte-identical regardless of scheduling.
-        assert_eq!(lock, other, "mode {mode:?} produced a different dataset");
+    for workers in [1, 3] {
+        let study = StudyConfig::builder()
+            .web(WebConfig::small())
+            .seed(5)
+            .steps(5)
+            .walks(12)
+            .workers(workers)
+            .build()
+            .unwrap();
+        let other = crawl_study(&generate(&study.web), &study).unwrap();
+        // Walk randomness is keyed on global walk ids and every browser
+        // owns its clock, so the datasets are identical whichever worker
+        // ran which walk.
+        assert_eq!(lock, other, "{workers} workers produced a different dataset");
         let out = cc_core::run_pipeline(&other);
         assert_eq!(lock_out.findings, out.findings);
         assert_eq!(lock_out.stats, out.stats);

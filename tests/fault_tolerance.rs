@@ -181,6 +181,55 @@ fn degraded_walks_are_ledgered_not_lost() {
     }
 }
 
+#[test]
+fn checkpoint_from_a_removed_driver_mode_still_resumes() {
+    // Checkpoints written while the walk driver was selectable embed a
+    // `"mode"` key in their study config. Fields are read by name, so the
+    // stale key is ignored: such a checkpoint loads, validates against
+    // today's config, and resumes to the uninterrupted bytes.
+    let path = temp_path("legacy-mode.json");
+    let config = StudyConfig {
+        checkpoint: Some(cc_crawler::CheckpointPolicy {
+            path: path.clone(),
+            every: 2,
+        }),
+        ..faulty_config(2)
+    };
+    let full = crawl_study(&generate(&config.web), &config).unwrap();
+
+    cc_crawler::StudyRun::new(&generate(&config.web), &config)
+        .stop_after(5)
+        .run()
+        .unwrap();
+    let mut doc: serde_json::Value =
+        serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
+    let serde_json::Value::Object(top) = &mut doc else {
+        panic!("checkpoint is not a JSON object");
+    };
+    let Some(serde_json::Value::Object(mut study)) = top.get("study").cloned() else {
+        panic!("checkpoint embeds no study config");
+    };
+    study.insert(
+        "mode".into(),
+        serde_json::Value::String("PersistentWorkers".into()),
+    );
+    top.insert("study".into(), serde_json::Value::Object(study));
+    let legacy = serde_json::to_string(&doc).unwrap();
+    assert!(legacy.contains(r#""mode":"PersistentWorkers""#));
+    std::fs::write(&path, legacy).unwrap();
+
+    let ck = CrawlCheckpoint::load(&path).unwrap();
+    ck.validate_against(&config)
+        .expect("a stale mode key must not fail validation");
+    assert_eq!(ck.partial.walks.len(), 5);
+    let resumed = cc_crawler::StudyRun::new(&generate(&config.web), &config)
+        .resume(ck)
+        .run()
+        .unwrap();
+    assert_eq!(full.to_json().unwrap(), resumed.to_json().unwrap());
+    std::fs::remove_file(&path).ok();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(4))]
 

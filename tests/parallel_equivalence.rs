@@ -5,7 +5,7 @@
 //! `PartialEq`: it also pins field order, map ordering, and float
 //! formatting, i.e. what a consumer of the released dataset would diff.
 
-use cc_crawler::{crawl_parallel, CrawlConfig, CrawlDataset, ParallelCrawlConfig, Walker};
+use cc_crawler::{crawl_study, CrawlConfig, CrawlDataset, StudyConfig, Walker};
 use cc_web::{generate, SimWeb, WebConfig};
 
 const WORLD_SEEDS: [u64; 2] = [11, 0xC0FFEE];
@@ -28,6 +28,19 @@ fn crawl_cfg(seed: u64) -> CrawlConfig {
     }
 }
 
+/// The executor-side twin of [`crawl_cfg`] over `world`.
+fn study(world: &WebConfig, seed: u64, workers: usize) -> StudyConfig {
+    StudyConfig::builder()
+        .web(world.clone())
+        .seed(seed)
+        .steps(4)
+        .walks(12)
+        .failure_rate(0.05)
+        .workers(workers)
+        .build()
+        .expect("study config is valid")
+}
+
 /// Serialize everything the crawl produced or touched. The web is
 /// regenerated per crawl (the truth ledger accumulates on a `SimWeb`), so
 /// each run serializes its own world's ledger.
@@ -41,10 +54,9 @@ fn world_artifacts(
     workers: Option<usize>,
 ) -> (String, String, String) {
     let web: SimWeb = generate(world);
-    let cfg = crawl_cfg(seed);
     let dataset: CrawlDataset = match workers {
-        None => Walker::new(&web, cfg).crawl(),
-        Some(n) => crawl_parallel(&web, &cfg, ParallelCrawlConfig::with_workers(n)),
+        None => Walker::new(&web, crawl_cfg(seed)).crawl(),
+        Some(n) => crawl_study(&web, &study(world, seed, n)).expect("crawl runs"),
     };
     let walks = serde_json::to_string(&dataset.walks).expect("walks serialize");
     let failures = serde_json::to_string(&dataset.failures).expect("failures serialize");
@@ -113,12 +125,9 @@ fn all_species_parallel_crawl_is_byte_identical_to_serial() {
 fn parallel_crawl_roundtrips_as_released_dataset() {
     // The full released artifact (walks + failures in one document) also
     // matches and survives a parse → serialize round trip.
-    let web = generate(&world(WORLD_SEEDS[0]));
-    let ds = crawl_parallel(
-        &web,
-        &crawl_cfg(WORLD_SEEDS[0]),
-        ParallelCrawlConfig::with_workers(4),
-    );
+    let world = world(WORLD_SEEDS[0]);
+    let web = generate(&world);
+    let ds = crawl_study(&web, &study(&world, WORLD_SEEDS[0], 4)).expect("crawl runs");
     let json = ds.to_json().expect("dataset serializes");
     let back = CrawlDataset::from_json(&json).expect("dataset parses back");
     assert_eq!(back, ds);

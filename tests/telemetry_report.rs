@@ -7,11 +7,9 @@
 //! [`RunReport`] actually carries the data `--metrics-out` promises:
 //! span rollups, histogram quantiles, and per-worker progress.
 
-use cc_crawler::{
-    crawl_parallel_instrumented, CrawlConfig, ParallelCrawlConfig, Walker,
-};
+use cc_crawler::{CrawlConfig, StudyConfig, StudyRun, Walker};
 use cc_telemetry::{RunReport, Session, WorkerSection};
-use cc_util::ProgressSnapshot;
+use cc_util::{ProgressCounters, ProgressSnapshot};
 use cc_web::{generate, WebConfig};
 
 /// Serializes the tests in this binary. Sessions are process-global, so a
@@ -40,6 +38,19 @@ fn crawl_cfg(seed: u64) -> CrawlConfig {
     }
 }
 
+/// The executor-side twin of [`crawl_cfg`].
+fn study(seed: u64, workers: usize) -> StudyConfig {
+    StudyConfig::builder()
+        .web(world(seed))
+        .seed(seed)
+        .steps(4)
+        .walks(12)
+        .failure_rate(0.05)
+        .workers(workers)
+        .build()
+        .expect("study config is valid")
+}
+
 /// Crawl with telemetry active; return the serialized dataset plus the
 /// session's run report (with per-worker data folded in when parallel).
 fn crawl_with_telemetry(seed: u64, workers: Option<usize>) -> (String, RunReport) {
@@ -50,12 +61,13 @@ fn crawl_with_telemetry(seed: u64, workers: Option<usize>) -> (String, RunReport
             (ds, None)
         }
         Some(n) => {
-            let (ds, progress) = crawl_parallel_instrumented(
-                &generate(&world(seed)),
-                &crawl_cfg(seed),
-                ParallelCrawlConfig::with_workers(n),
-            );
-            (ds, Some(progress))
+            let study = study(seed, n);
+            let progress = ProgressCounters::new(n);
+            let ds = StudyRun::new(&generate(&study.web), &study)
+                .progress(&progress)
+                .run()
+                .expect("crawl runs");
+            (ds, Some(progress.snapshot()))
         }
     };
     let json = dataset.to_json().expect("dataset serializes");
@@ -155,6 +167,31 @@ fn run_report_carries_spans_quantiles_and_worker_counters() {
     let json = report.to_json().expect("report serializes");
     let back = RunReport::from_json(&json).expect("report parses back");
     assert_eq!(back, report);
+}
+
+#[test]
+fn executor_reports_per_worker_starvation_gauges() {
+    let _exclusive = exclusive();
+    let session = Session::start();
+    let study = study(7, 2);
+    let ds = StudyRun::new(&generate(&study.web), &study)
+        .run()
+        .expect("crawl runs");
+    let gauges = session.report().timing.gauges;
+    let mut claimed = 0.0;
+    for w in 0..2 {
+        let starvation = gauges
+            .get(&format!("crawl.worker.queue_starvation.{w}"))
+            .unwrap_or_else(|| panic!("no starvation gauge for worker {w}: {gauges:?}"));
+        assert!(
+            (0.0..=1.0).contains(starvation),
+            "worker {w} starvation {starvation} out of range"
+        );
+        claimed += gauges
+            .get(&format!("crawl.worker.walks_claimed.{w}"))
+            .unwrap_or_else(|| panic!("no walks-claimed gauge for worker {w}: {gauges:?}"));
+    }
+    assert_eq!(claimed as usize, ds.walks.len(), "claims don't cover the crawl");
 }
 
 #[test]
