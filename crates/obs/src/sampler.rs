@@ -1,8 +1,8 @@
 //! Periodic observability sampling into a bounded ring.
 //!
 //! The sampler is the bridge between the *instantaneous* readings the
-//! observer serves (`/progress`, `/metrics`) and the *time-series* the
-//! dashboard draws: every `interval` it folds one [`ObsSample`] —
+//! live server answers (`/progress`, `/metrics`) and the *time-series*
+//! the dashboard draws: every `interval` it folds one [`ObsSample`] —
 //! progress totals plus rates, the serve inflight gauge, the worst
 //! queue-starvation gauge, and latency quantiles — into a
 //! [`SnapshotRing`], dropping the oldest sample once the retention
@@ -27,29 +27,29 @@ const STARVATION_PREFIX: &str = "crawl.worker.queue_starvation";
 /// session records the first, a crawl the second.
 const LATENCY_HISTOGRAMS: [&str; 2] = ["serve.latency", "net.sim_latency"];
 
+/// Samples a run's ring retains (oldest dropped beyond this). At the
+/// default 250 ms interval that is a 10-minute window, plenty for any
+/// test crawl and bounded (~55KB of samples) for a long one.
+pub const RING_CAPACITY: usize = 2_400;
+
 /// How a [`Sampler`] paces itself.
 #[derive(Debug, Clone, Copy)]
 pub struct SamplerConfig {
     /// Time between samples.
     pub interval: Duration,
-    /// Ring capacity — samples retained (oldest dropped beyond this).
-    pub capacity: usize,
 }
 
 impl Default for SamplerConfig {
     fn default() -> Self {
-        // 250ms × 2400 = a 10-minute window, plenty for any test crawl
-        // and bounded (~55KB of samples) for a long one.
         SamplerConfig {
             interval: Duration::from_millis(250),
-            capacity: 2_400,
         }
     }
 }
 
 /// A background thread snapshotting observability signals on a fixed
 /// cadence. Create with [`Sampler::start`]; the ring it fills is shared
-/// up front so the observer can serve `/timeseries` concurrently.
+/// up front so a live server can answer `/timeseries` concurrently.
 pub struct Sampler {
     stop: Arc<AtomicBool>,
     thread: Option<std::thread::JoinHandle<()>>,
@@ -73,12 +73,16 @@ impl Sampler {
                 .spawn(move || {
                     let started = Instant::now();
                     loop {
+                        // Read the flag before sampling, so the sample
+                        // that ends the loop is taken after shutdown was
+                        // asked for and reflects the finished run.
+                        let stopping = stop.load(Ordering::SeqCst);
                         ring.push(take_sample(
                             started.elapsed().as_secs_f64(),
                             collector.as_deref(),
                             progress.as_deref(),
                         ));
-                        if stop.load(Ordering::SeqCst) {
+                        if stopping {
                             break;
                         }
                         // Sleep in small slices so shutdown never waits a
@@ -125,8 +129,8 @@ impl std::fmt::Debug for Sampler {
     }
 }
 
-/// Fold the current readings into one sample. Public so tests (and the
-/// CLI's final-sample-at-exit path) can take a sample without a thread.
+/// Fold the current readings into one sample. Public so tests can take
+/// a sample without a thread.
 pub fn take_sample(
     t_s: f64,
     collector: Option<&Collector>,

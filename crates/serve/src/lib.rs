@@ -36,15 +36,33 @@
 //! * [`router`] — maps decoded [`Request`](cc_http::Request)s to cached
 //!   bodies from one consistent epoch snapshot per request, handles
 //!   `If-None-Match` → `304`, stamps `X-Cc-Epoch` on every response, and
-//!   records per-endpoint telemetry into the server's private
+//!   records per-endpoint telemetry into the server's
 //!   [`Collector`](cc_telemetry::Collector) (served live at `/metrics`).
 //!
-//! Endpoints: `GET /healthz`, `/report`, `/report/{section}`,
-//! `/smugglers?role=dedicated|multi&limit=N`, `/uids/{domain}`,
-//! `/walks/{id}`, `/catalog`, `/progress` (walks indexed vs total for
-//! the current epoch), `/metrics`, `/metrics.prom` (Prometheus text
-//! exposition), `/logs` (deterministic head-sampled request log), and
-//! `POST /shutdown`.
+//! The server is also the study's one live front end: a
+//! [`LiveSources`](server::LiveSources) in its config attaches a running
+//! crawl's progress counters, the cc-obs sampler's ring and the session
+//! collector, so `crawl --serve-addr` and `--obs-addr` answer the same
+//! routes from the same code.
+//!
+//! Endpoints:
+//!
+//! * `GET /healthz`, `/report`, `/report/{section}`,
+//!   `/smugglers?role=dedicated|multi&limit=N`, `/uids/{domain}`,
+//!   `/walks/{id}`, `/catalog` — precomputed, ETagged bodies;
+//! * `GET /progress` — walks indexed vs total for the current epoch,
+//!   plus the crawl's live walk/step counts and per-worker rows when
+//!   progress counters are attached;
+//! * `GET /timeseries` — the sampler ring's retained window
+//!   (`{"schema":"cc-obs/v1","samples":[…]}`; 404 without a ring);
+//! * `GET /metrics`, `/metrics.prom` — the collector as run-report JSON
+//!   and as Prometheus text exposition;
+//! * `GET /logs` — the deterministic head-sampled request log;
+//! * `POST /shutdown`.
+//!
+//! Every live route (`/progress`, `/timeseries`, `/metrics`,
+//! `/metrics.prom`, `/logs`) carries an explicit `Content-Type` and
+//! `Cache-Control: no-store`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -60,4 +78,4 @@ pub use index::{
     etag_for, http_date, last_modified_for_epoch, CachedBody, ServingIndex, SmugglerRole,
 };
 pub use publish::{IncrementalIndexBuilder, IndexPublisher};
-pub use server::{RequestLogEntry, ServeConfig, Server, ServerHandle};
+pub use server::{LiveSources, RequestLogEntry, ServeConfig, Server, ServerHandle};

@@ -77,14 +77,7 @@ fn route_inner(req: &Request, shared: &Shared, index: &ServingIndex) -> Routed {
         // body — scrapers alert on status codes, not on body contents.
         let resp = match shared.collector.report(None).to_json() {
             Ok(body) => live(StatusCode::OK, body, "application/json"),
-            Err(e) => live(
-                StatusCode::INTERNAL_SERVER_ERROR,
-                format!(
-                    "{{\"error\":\"metrics serialization failed\",\"detail\":{}}}",
-                    json_string(&e.to_string())
-                ),
-                "application/json",
-            ),
+            Err(e) => serialization_failure("metrics", &e),
         };
         return Routed::new("metrics", resp);
     }
@@ -106,8 +99,9 @@ fn route_inner(req: &Request, shared: &Shared, index: &ServingIndex) -> Routed {
 
     if path == "/progress" {
         // Live, never cached: how much of the crawl this epoch has
-        // indexed. For a static index this reports 1 epoch, complete.
-        let body = format!(
+        // indexed (a static index reports 1 epoch, complete), plus the
+        // crawl's own progress counters when a running study is attached.
+        let mut body = format!(
             "{{\"schema\":\"{SERVE_SCHEMA}\",\"epoch\":{},\"swaps\":{},\
              \"walks_indexed\":{},\"walks_total\":{},\"complete\":{}}}",
             index.epoch(),
@@ -116,7 +110,38 @@ fn route_inner(req: &Request, shared: &Shared, index: &ServingIndex) -> Routed {
             index.total_walks(),
             index.complete()
         );
+        if let Some(progress) = &shared.cfg.live.progress {
+            match serde_json::to_string(&progress.snapshot()) {
+                // Both are JSON objects: drop the closing brace and the
+                // opening one to merge the snapshot's fields in.
+                Ok(snapshot) => {
+                    body.pop();
+                    body.push(',');
+                    body.push_str(&snapshot[1..]);
+                }
+                Err(e) => return Routed::new("progress", serialization_failure("progress", &e)),
+            }
+        }
         return Routed::new("progress", live(StatusCode::OK, body, "application/json"));
+    }
+
+    if path == "/timeseries" {
+        let resp = match &shared.cfg.live.ring {
+            Some(ring) => match serde_json::to_string(&ring.snapshot()) {
+                Ok(samples) => live(
+                    StatusCode::OK,
+                    format!("{{\"schema\":\"cc-obs/v1\",\"samples\":{samples}}}"),
+                    "application/json",
+                ),
+                Err(e) => serialization_failure("timeseries", &e),
+            },
+            None => live(
+                StatusCode::NOT_FOUND,
+                "{\"error\":\"no snapshot ring attached\"}".into(),
+                "application/json",
+            ),
+        };
+        return Routed::new("timeseries", resp);
     }
 
     if path == "/smugglers" {
@@ -216,6 +241,17 @@ fn if_none_match_hits(req: &Request, etag: &str) -> bool {
                 .any(|candidate| candidate == "*" || candidate == etag)
         })
         .unwrap_or(false)
+}
+
+fn serialization_failure(which: &str, err: &dyn std::fmt::Display) -> Response {
+    live(
+        StatusCode::INTERNAL_SERVER_ERROR,
+        format!(
+            "{{\"error\":\"{which} serialization failed\",\"detail\":{}}}",
+            json_string(&err.to_string())
+        ),
+        "application/json",
+    )
 }
 
 fn not_found(path: &str) -> Response {

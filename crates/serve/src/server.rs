@@ -30,8 +30,8 @@ use std::time::{Duration, Instant};
 
 use cc_crawler::CrawlCheckpoint;
 use cc_http::{Request, Response, StatusCode};
-use cc_telemetry::{Collector, RunReport};
-use cc_util::CcError;
+use cc_telemetry::{Collector, RunReport, SnapshotRing};
+use cc_util::{CcError, ProgressCounters};
 
 use crate::handle::{FollowConfig, IndexHandle, IndexSource};
 use crate::publish::IncrementalIndexBuilder;
@@ -52,6 +52,8 @@ pub struct ServeConfig {
     /// Test hook: artificial per-request handling delay, for
     /// deterministic overload/drain tests. Zero in production.
     pub debug_delay_ms: u64,
+    /// Live readings of a running study, answered next to the index.
+    pub live: LiveSources,
 }
 
 impl Default for ServeConfig {
@@ -62,8 +64,23 @@ impl Default for ServeConfig {
             max_inflight: 64,
             keep_alive_ms: 5_000,
             debug_delay_ms: 0,
+            live: LiveSources::default(),
         }
     }
+}
+
+/// The live readings of a running study a server answers next to its
+/// index. All optional and all observation-only: the router loads
+/// relaxed atomics and takes short locks, never touching crawl state.
+#[derive(Debug, Clone, Default)]
+pub struct LiveSources {
+    /// Crawl progress, spliced into `/progress`.
+    pub progress: Option<Arc<ProgressCounters>>,
+    /// The sampler's ring, served at `/timeseries`.
+    pub ring: Option<Arc<SnapshotRing>>,
+    /// The collector the server records into and serves at `/metrics`
+    /// and `/metrics.prom`; a private one when absent.
+    pub collector: Option<Arc<Collector>>,
 }
 
 impl ServeConfig {
@@ -191,7 +208,7 @@ impl Server {
         let shared = Arc::new(Shared {
             handle,
             cfg: cfg.clone(),
-            collector: Arc::new(Collector::default()),
+            collector: cfg.live.collector.clone().unwrap_or_default(),
             stop: AtomicBool::new(false),
             inflight: AtomicUsize::new(0),
             request_seq: AtomicU64::new(0),
@@ -343,7 +360,8 @@ impl ServerHandle {
         self.addr
     }
 
-    /// Snapshot the server's own telemetry (the `/metrics` payload).
+    /// Snapshot the collector the server records into (the `/metrics`
+    /// payload).
     pub fn metrics(&self) -> RunReport {
         self.shared.collector.report(None)
     }

@@ -2,17 +2,21 @@
 //! behavior, ETag revalidation, byte-identity with the offline report,
 //! and the satellite coverage for graceful shutdown (in-flight
 //! connections complete, new connects refused) and overload (503 + shed
-//! counter, never a hang).
+//! counter, never a hang), and the live routes a running study attaches
+//! (`/progress` counters, `/timeseries`, the shared collector).
 
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream};
+use std::sync::Arc;
 use std::time::Duration;
 
 use cc_crawler::{CrawlConfig, Walker};
 use cc_http::wire::WireError;
 use cc_http::{Method, Request, Response};
-use cc_serve::{ServeConfig, Server, ServerHandle, ServingIndex};
+use cc_serve::{LiveSources, ServeConfig, Server, ServerHandle, ServingIndex};
+use cc_telemetry::{Collector, ObsSample, SnapshotRing};
 use cc_url::Url;
+use cc_util::{ProgressCounters, ProgressSnapshot};
 use cc_web::{generate, WebConfig};
 
 fn small_study() -> (cc_web::SimWeb, cc_crawler::CrawlDataset, cc_core::pipeline::PipelineOutput) {
@@ -781,4 +785,150 @@ fn request_log_head_sampling_is_bounded_and_deterministic() {
             .collect()
     };
     assert_eq!(routes(&body), routes(&run()));
+}
+
+/// Live sources a running study attaches, each kept for the test to
+/// drive.
+fn live_sources() -> (LiveSources, Arc<Collector>, Arc<ProgressCounters>, Arc<SnapshotRing>) {
+    let collector = Arc::new(Collector::default());
+    let progress = Arc::new(ProgressCounters::new(2));
+    let ring = Arc::new(SnapshotRing::new(64));
+    let live = LiveSources {
+        progress: Some(Arc::clone(&progress)),
+        ring: Some(Arc::clone(&ring)),
+        collector: Some(Arc::clone(&collector)),
+    };
+    (live, collector, progress, ring)
+}
+
+#[test]
+fn live_routes_carry_content_type_and_no_store() {
+    let (live, collector, progress, ring) = live_sources();
+    collector.add_counter("crawl.walks", 7);
+    progress.record_walk(0, 4);
+    ring.push(ObsSample {
+        t_s: 0.5,
+        walks: 1,
+        ..ObsSample::default()
+    });
+    let handle = start(ServeConfig {
+        live,
+        ..ServeConfig::default()
+    });
+    let mut client = TestClient::connect(handle.addr());
+
+    for path in ["/progress", "/metrics", "/timeseries", "/logs"] {
+        let resp = client.get(path);
+        assert_eq!(resp.status.0, 200, "{path}");
+        assert_eq!(resp.headers.get("content-type"), Some("application/json"), "{path}");
+        assert_eq!(resp.headers.get("cache-control"), Some("no-store"), "{path}");
+    }
+    let prom = client.get("/metrics.prom");
+    assert_eq!(prom.status.0, 200);
+    assert_eq!(
+        prom.headers.get("content-type"),
+        Some("text/plain; version=0.0.4; charset=utf-8")
+    );
+    assert_eq!(prom.headers.get("cache-control"), Some("no-store"));
+    let stats = cc_telemetry::parse_exposition(&TestClient::body_str(&prom)).expect("valid exposition");
+    assert!(stats.families > 0 && stats.samples > 0);
+
+    // The attached collector is the one served (and recorded into).
+    let report = cc_telemetry::RunReport::from_json(&TestClient::body_str(&client.get("/metrics"))).unwrap();
+    assert_eq!(report.deterministic.counters.get("crawl.walks"), Some(&7));
+    assert!(report.deterministic.counters.get("serve.requests").is_some_and(|&n| n >= 5));
+    handle.shutdown();
+}
+
+#[test]
+fn progress_tracks_live_counters_next_to_the_epoch() {
+    let (live, _collector, progress, _ring) = live_sources();
+    let handle = start(ServeConfig {
+        live,
+        ..ServeConfig::default()
+    });
+    let mut client = TestClient::connect(handle.addr());
+
+    let body = TestClient::body_str(&client.get("/progress"));
+    assert!(!body.contains('\n'), "/progress is one compact object: {body}");
+    let before: ProgressSnapshot = serde_json::from_str(&body).unwrap();
+    assert_eq!(before.walks, 0);
+
+    progress.record_walk(0, 5);
+    progress.record_walk(1, 3);
+
+    let body = TestClient::body_str(&client.get("/progress"));
+    let after: ProgressSnapshot = serde_json::from_str(&body).unwrap();
+    assert_eq!(after.walks, 2);
+    assert_eq!(after.steps, 8);
+    assert_eq!(after.per_worker.len(), 2);
+    // The serve fields ride in the same object.
+    let v: serde_json::Value = serde_json::from_str(&body).unwrap();
+    let obj = v.as_object().unwrap();
+    assert_eq!(obj.get("schema").and_then(|s| s.as_str()), Some("cc-serve/v1"));
+    assert_eq!(obj.get("epoch").and_then(|e| e.as_f64()), Some(1.0));
+    assert_eq!(obj.get("complete").and_then(|c| c.as_bool()), Some(true));
+    handle.shutdown();
+}
+
+#[test]
+fn timeseries_reflects_ring_contents() {
+    let (live, _collector, _progress, ring) = live_sources();
+    for i in 0..3 {
+        ring.push(ObsSample {
+            t_s: i as f64,
+            walks: 1,
+            inflight: 9.0,
+            ..ObsSample::default()
+        });
+    }
+    let handle = start(ServeConfig {
+        live,
+        ..ServeConfig::default()
+    });
+    let mut client = TestClient::connect(handle.addr());
+    let v: serde_json::Value =
+        serde_json::from_str(&TestClient::body_str(&client.get("/timeseries"))).unwrap();
+    let obj = v.as_object().unwrap();
+    assert_eq!(obj.get("schema").and_then(|s| s.as_str()), Some("cc-obs/v1"));
+    let samples = obj.get("samples").and_then(|s| s.as_array()).unwrap();
+    assert_eq!(samples.len(), 3);
+    let last = samples[2].as_object().unwrap();
+    assert_eq!(last.get("t_s").and_then(|x| x.as_f64()), Some(2.0));
+    assert_eq!(last.get("inflight").and_then(|x| x.as_f64()), Some(9.0));
+    assert_eq!(last.get("walks").and_then(|x| x.as_f64()), Some(1.0));
+    handle.shutdown();
+}
+
+#[test]
+fn missing_ring_is_404_not_500_and_progress_keeps_its_serve_shape() {
+    let handle = start(ServeConfig::default());
+    let mut client = TestClient::connect(handle.addr());
+    let resp = client.get("/timeseries");
+    assert_eq!(resp.status.0, 404);
+    assert_eq!(resp.headers.get("content-type"), Some("application/json"));
+    assert!(TestClient::body_str(&resp).contains("no snapshot ring"));
+
+    let v: serde_json::Value =
+        serde_json::from_str(&TestClient::body_str(&client.get("/progress"))).unwrap();
+    let obj = v.as_object().unwrap();
+    assert!(obj.get("walks_indexed").is_some());
+    assert!(obj.get("per_worker").is_none(), "no progress counters attached");
+    handle.shutdown();
+}
+
+#[test]
+fn post_to_a_live_route_is_405() {
+    let (live, ..) = live_sources();
+    let handle = start(ServeConfig {
+        live,
+        ..ServeConfig::default()
+    });
+    let mut client = TestClient::connect(handle.addr());
+    let mut req = client.request("/progress");
+    req.method = Method::Post;
+    let resp = client.send(&req);
+    assert_eq!(resp.status.0, 405);
+    assert_eq!(resp.headers.get("content-type"), Some("application/json"));
+    handle.shutdown();
 }

@@ -513,7 +513,8 @@ impl Session {
     }
 
     /// A shareable handle to the session's collector — what a live
-    /// observer thread holds to serve `/metrics` while the session runs.
+    /// server records into and serves at `/metrics` while the session
+    /// runs.
     /// The handle stays readable after the session ends (recording stops,
     /// the data remains).
     pub fn shared_collector(&self) -> Arc<Collector> {

@@ -7,7 +7,7 @@
 //! recent window at full resolution.
 //!
 //! Samples are plain serde structs: the HTML dashboard inlines them as a
-//! JSON block, and `/timeseries` on the observer serves them live.
+//! JSON block, and cc-serve's `/timeseries` serves them live.
 
 use std::collections::VecDeque;
 

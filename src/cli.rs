@@ -21,6 +21,8 @@
 //! Argument parsing is hand-rolled (the workspace's dependency budget is
 //! deliberately small) and lives in the library so it can be unit-tested.
 
+use std::sync::Arc;
+
 use cc_crawler::{CheckpointPolicy, CrawlCheckpoint, StudyConfig, StudyRunOptions};
 use cc_net::{BreakerPolicy, RetryPolicy};
 use cc_util::CcError;
@@ -87,7 +89,7 @@ pub struct Cli {
     /// format instead of the command's normal output.
     pub prom: bool,
     /// Serve `/progress`, `/metrics`, `/metrics.prom`, and `/timeseries`
-    /// from a background observer thread while the study runs.
+    /// from a cc-serve server while the study runs (shut down with it).
     pub obs_addr: Option<String>,
     /// Write the observer's bound address (with the real port) here.
     pub obs_addr_file: Option<String>,
@@ -208,7 +210,8 @@ LIVE SERVING (crawl):
                           starts at a warming epoch 0, then swaps in a fresh
                           immutable index epoch as walk batches land; keeps
                           serving the final epoch after the crawl until
-                          POST /shutdown
+                          POST /shutdown. Also answers the live routes of
+                          --obs-addr (/progress, /timeseries, /metrics)
   --serve-addr-file PATH  write the live server's bound address to PATH
   --publish-every K       publish an epoch every K completed walks (default 25)
 
@@ -256,12 +259,14 @@ TELEMETRY:
                    (e.g. 'report --prom' for a scrape-able run summary)
 
 OBSERVABILITY (watch the crawl while it runs):
-  --obs-addr HOST:PORT  serve live observability over HTTP from a
-                        background thread during the study: /progress
-                        (per-worker walk counts), /metrics (run report
-                        JSON), /metrics.prom (Prometheus exposition),
-                        /timeseries (snapshot ring). Observation-only:
-                        results are byte-identical with it on or off
+  --obs-addr HOST:PORT  serve live observability over HTTP while the
+                        study runs: /progress (per-worker walk counts),
+                        /metrics (run report JSON), /metrics.prom
+                        (Prometheus exposition), /timeseries (snapshot
+                        ring). Observation-only: results are
+                        byte-identical with it on or off. crawl
+                        --serve-addr already answers these routes, so
+                        the two flags do not combine
   --obs-addr-file PATH  write the observer's bound address (with the
                         real port) to PATH (requires --obs-addr)
   --dashboard-out PATH  write a self-contained single-file HTML
@@ -504,6 +509,12 @@ pub fn parse(args: &[String]) -> Result<Cli, CcError> {
     if serve_addr.is_some() && command != Command::Crawl {
         return Err(CcError::cli(
             "--serve-addr applies to the crawl command (serve the crawl as it runs)",
+        ));
+    }
+    if serve_addr.is_some() && obs_addr.is_some() {
+        return Err(CcError::cli(
+            "--serve-addr and --obs-addr are mutually exclusive: the --serve-addr port \
+             already answers /progress, /timeseries, /metrics and /metrics.prom",
         ));
     }
     if serve_addr.is_none() {
@@ -753,38 +764,7 @@ pub fn run(cli: &Cli) -> Result<String, CcError> {
         return run_gaggle(cli);
     }
 
-    // Telemetry is opt-in: a session only exists when a telemetry or
-    // observability flag asked for one, so plain runs pay nothing. The
-    // chrome-trace export additionally needs span capture turned on.
-    let wants_session = cli.metrics_out.is_some()
-        || cli.trace
-        || cli.trace_out.is_some()
-        || cli.prom
-        || cli.obs_addr.is_some()
-        || cli.dashboard_out.is_some();
-    let session = if cli.trace_out.is_some() {
-        Some(cc_telemetry::Session::start_with_trace())
-    } else if wants_session {
-        Some(cc_telemetry::Session::start())
-    } else {
-        None
-    };
-    // Fail fast on unwritable artifact paths — before the crawl, not
-    // after an hour of it.
-    for (flag, path) in [
-        ("--metrics-out", cli.metrics_out.as_deref()),
-        ("--trace-out", cli.trace_out.as_deref()),
-        ("--dashboard-out", cli.dashboard_out.as_deref()),
-    ] {
-        if let Some(path) = path {
-            std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(path)
-                .map_err(|e| CcError::cli(format!("{flag} {path}: not writable: {e}")))?;
-        }
-    }
-
+    let plane = Plane::start(cli, cli.study.workers)?;
     let mut opts = StudyRunOptions {
         stop_after: cli.kill_after,
         ..StudyRunOptions::default()
@@ -796,25 +776,19 @@ pub fn run(cli: &Cli) -> Result<String, CcError> {
     // Live serving (`crawl --serve-addr`): start the server on a warming
     // epoch-0 index *before* the crawl, wire an in-process publisher into
     // the executor, and keep serving the final epoch after the crawl
-    // completes until POST /shutdown.
+    // completes until POST /shutdown. The same server answers the plane's
+    // live routes (`/progress`, `/timeseries`, `/metrics`).
     let live = match cli.serve_addr.as_deref() {
         Some(addr) => {
             let builder = cc_serve::IncrementalIndexBuilder::new(&cli.study);
             let index_handle = cc_serve::IndexHandle::new(builder.warming()?);
-            let publisher = std::sync::Arc::new(cc_serve::IndexPublisher::start(
+            let publisher = Arc::new(cc_serve::IndexPublisher::start(
                 builder,
                 index_handle.clone(),
             ));
-            let policy = &cli.study.serve;
             let server = cc_serve::Server::start(
                 index_handle.clone(),
-                cc_serve::ServeConfig {
-                    addr: addr.to_string(),
-                    workers: policy.workers,
-                    max_inflight: policy.max_inflight,
-                    keep_alive_ms: policy.keep_alive_ms,
-                    debug_delay_ms: 0,
-                },
+                serve_config(&cli.study.serve, addr, plane.live_sources()),
             )?;
             if let Some(path) = cli.serve_addr_file.as_deref() {
                 std::fs::write(path, server.addr().to_string())
@@ -830,47 +804,11 @@ pub fn run(cli: &Cli) -> Result<String, CcError> {
         None => None,
     };
 
-    // The observability plane: caller-owned progress counters shared with
-    // the crawl, a bounded snapshot ring, a periodic sampler, and the
-    // HTTP observer thread. All strictly observation-only — the crawl
-    // result is byte-identical with every piece on or off.
-    let progress = std::sync::Arc::new(cc_util::ProgressCounters::new(cli.study.workers));
-    let ring = std::sync::Arc::new(cc_telemetry::SnapshotRing::new(2_400));
-    let collector = session.as_ref().map(|s| s.shared_collector());
-    let obs_started = std::time::Instant::now();
-    let observer = match cli.obs_addr.as_deref() {
-        Some(addr) => {
-            let sources = cc_obs::ObsSources {
-                collector: collector.clone(),
-                progress: Some(std::sync::Arc::clone(&progress)),
-                ring: Some(std::sync::Arc::clone(&ring)),
-                epoch: live.as_ref().map(|(_, _, handle)| handle.epoch_cell()),
-            };
-            let handle = cc_obs::Observer::start(addr, sources)?;
-            if let Some(path) = cli.obs_addr_file.as_deref() {
-                std::fs::write(path, handle.addr().to_string())
-                    .map_err(|e| CcError::io(path, e))?;
-            }
-            Some(handle)
-        }
-        None => None,
-    };
-    let sampler = if observer.is_some() || cli.dashboard_out.is_some() {
-        Some(cc_obs::Sampler::start(
-            cc_obs::SamplerConfig::default(),
-            std::sync::Arc::clone(&ring),
-            collector.clone(),
-            Some(std::sync::Arc::clone(&progress)),
-        ))
-    } else {
-        None
-    };
-
-    let mut study_builder = Study::builder(&cli.study).options(opts).progress(&progress);
+    let mut study_builder = Study::builder(&cli.study).options(opts).progress(&plane.progress);
     if let Some((_, publisher, _)) = &live {
         study_builder = study_builder.index_publisher(
             cli.publish_every.unwrap_or(25),
-            std::sync::Arc::clone(publisher) as std::sync::Arc<dyn cc_crawler::SnapshotSink>,
+            Arc::clone(publisher) as Arc<dyn cc_crawler::SnapshotSink>,
         );
     }
     let study = match study_builder.run() {
@@ -897,60 +835,15 @@ pub fn run(cli: &Cli) -> Result<String, CcError> {
     }
 
     let result = execute(cli, &study);
-
-    // Wind the plane down: one final sample so the dashboard's last point
-    // reflects the finished run, then stop the sampler and observer.
-    if sampler.is_some() {
-        ring.push(cc_obs::take_sample(
-            obs_started.elapsed().as_secs_f64(),
-            collector.as_deref(),
-            Some(&progress),
-        ));
-    }
-    if let Some(s) = sampler {
-        s.shutdown();
-    }
-    if let Some(o) = observer {
-        o.shutdown();
-    }
-    if let Some(path) = cli.dashboard_out.as_deref() {
-        let title = format!("crumbcruncher — seed {:#x}", cli.study.seed);
-        let html = cc_obs::render_dashboard(&title, &ring.snapshot());
-        std::fs::write(path, &html).map_err(|e| CcError::io(path, e))?;
-    }
-
-    // Reporting happens after the command executed, so command-phase spans
-    // (the analysis report sections, dataset serialization) are captured.
-    let mut result = result;
-    if let Some(session) = &session {
-        if cli.trace {
-            eprint!("{}", session.render_trace());
+    // Per-worker progress is reported only when parallelism was asked
+    // for — a plain serial run keeps its historical report shape.
+    let workers = match &study.progress {
+        Some(snapshot) if cli.workers.is_some() => {
+            Some(cc_telemetry::WorkerSection::from_progress(snapshot))
         }
-        if let Some(path) = cli.trace_out.as_deref() {
-            std::fs::write(path, session.chrome_trace()).map_err(|e| CcError::io(path, e))?;
-        }
-        if cli.metrics_out.is_some() || cli.prom {
-            // Per-worker progress is reported only when parallelism was
-            // asked for — a plain serial run keeps its historical report
-            // shape.
-            let report = match &study.progress {
-                Some(snapshot) if cli.workers.is_some() => session
-                    .report_with_workers(cc_telemetry::WorkerSection::from_progress(snapshot)),
-                _ => session.report(),
-            };
-            if let Some(path) = cli.metrics_out.as_deref() {
-                let json = report
-                    .to_json()
-                    .map_err(|e| CcError::Serde(format!("serialize run report: {e}")))?;
-                std::fs::write(path, &json).map_err(|e| CcError::io(path, e))?;
-            }
-            if cli.prom && result.is_ok() {
-                // `report --prom`: the scrape-able exposition *is* the
-                // command output, so nothing else pollutes stdout.
-                result = Ok(cc_telemetry::render_prometheus(&report));
-            }
-        }
-    }
+        _ => None,
+    };
+    let result = plane.finish(cli, "crumbcruncher", workers, result);
     // A live-served crawl stays up after its artifacts are written, so
     // consumers can read the final epoch at their leisure; block until a
     // client posts /shutdown. On a failed command, fold the server
@@ -963,6 +856,192 @@ pub fn run(cli: &Cli) -> Result<String, CcError> {
         }
     }
     result
+}
+
+/// Server knobs for `addr` from the study's serve policy, answering
+/// `live` next to the index.
+fn serve_config(
+    policy: &cc_crawler::ServePolicy,
+    addr: &str,
+    live: cc_serve::LiveSources,
+) -> cc_serve::ServeConfig {
+    cc_serve::ServeConfig {
+        addr: addr.to_string(),
+        workers: policy.workers,
+        max_inflight: policy.max_inflight,
+        keep_alive_ms: policy.keep_alive_ms,
+        debug_delay_ms: 0,
+        live,
+    }
+}
+
+/// The telemetry session and live observability plane around one study
+/// run, in-process or gaggle alike: the opt-in session, the progress
+/// counters the crawl reports into, the sampler's ring, and the
+/// `--obs-addr` server. All strictly observation-only — the crawl result
+/// is byte-identical with every piece on or off.
+struct Plane {
+    session: Option<cc_telemetry::Session>,
+    progress: Arc<cc_util::ProgressCounters>,
+    /// Filled by the sampler; present when a live front end or a
+    /// dashboard will read it.
+    ring: Option<Arc<cc_telemetry::SnapshotRing>>,
+    /// What the live server records into and the sampler reads.
+    collector: Option<Arc<cc_telemetry::Collector>>,
+    sampler: Option<cc_obs::Sampler>,
+    observer: Option<cc_serve::ServerHandle>,
+}
+
+impl Plane {
+    /// Check the artifact paths, start the session and sampler the flags
+    /// ask for, and bind `--obs-addr`. `workers` sizes the progress rows.
+    fn start(cli: &Cli, workers: usize) -> Result<Plane, CcError> {
+        // Fail fast on unwritable artifact paths — before the crawl, not
+        // after an hour of it.
+        for (flag, path) in [
+            ("--metrics-out", cli.metrics_out.as_deref()),
+            ("--trace-out", cli.trace_out.as_deref()),
+            ("--dashboard-out", cli.dashboard_out.as_deref()),
+            ("--out", cli.out.as_deref()),
+        ] {
+            if let Some(path) = path {
+                std::fs::OpenOptions::new()
+                    .create(true)
+                    .append(true)
+                    .open(path)
+                    .map_err(|e| CcError::cli(format!("{flag} {path}: not writable: {e}")))?;
+            }
+        }
+        // The observer's warming index is built before the session
+        // starts, so its world generation stays out of the run's spans.
+        let warming = match cli.obs_addr {
+            Some(_) => Some(cc_serve::IncrementalIndexBuilder::new(&cli.study).warming()?),
+            None => None,
+        };
+        // Telemetry is opt-in: a session only exists when a telemetry or
+        // observability flag asked for one, so plain runs pay nothing.
+        // The chrome-trace export additionally needs span capture.
+        let wants_session = cli.metrics_out.is_some()
+            || cli.trace
+            || cli.prom
+            || cli.obs_addr.is_some()
+            || cli.dashboard_out.is_some();
+        let session = if cli.trace_out.is_some() {
+            Some(cc_telemetry::Session::start_with_trace())
+        } else if wants_session {
+            Some(cc_telemetry::Session::start())
+        } else {
+            None
+        };
+        let front_end = cli.obs_addr.is_some() || cli.serve_addr.is_some();
+        // A served crawl without a session still records its requests
+        // somewhere the sampler can read them.
+        let collector = match &session {
+            Some(session) => Some(session.shared_collector()),
+            None => front_end.then(Arc::default),
+        };
+        let progress = Arc::new(cc_util::ProgressCounters::new(workers));
+        let ring = (front_end || cli.dashboard_out.is_some())
+            .then(|| Arc::new(cc_telemetry::SnapshotRing::new(cc_obs::RING_CAPACITY)));
+        let sampler = ring.as_ref().map(|ring| {
+            cc_obs::Sampler::start(
+                cc_obs::SamplerConfig::default(),
+                Arc::clone(ring),
+                collector.clone(),
+                Some(Arc::clone(&progress)),
+            )
+        });
+        let mut plane = Plane {
+            session,
+            progress,
+            ring,
+            collector,
+            sampler,
+            observer: None,
+        };
+        if let (Some(addr), Some(index)) = (cli.obs_addr.as_deref(), warming) {
+            let server = cc_serve::Server::start(
+                index,
+                serve_config(&cli.study.serve, addr, plane.live_sources()),
+            )?;
+            if let Some(path) = cli.obs_addr_file.as_deref() {
+                std::fs::write(path, server.addr().to_string())
+                    .map_err(|e| CcError::io(path, e))?;
+            }
+            plane.observer = Some(server);
+        }
+        Ok(plane)
+    }
+
+    /// The live readings a server attached to this run answers.
+    fn live_sources(&self) -> cc_serve::LiveSources {
+        cc_serve::LiveSources {
+            progress: Some(Arc::clone(&self.progress)),
+            ring: self.ring.clone(),
+            collector: self.collector.clone(),
+        }
+    }
+
+    /// Wind the plane down once the run is over: the sampler's final
+    /// sample, the observer, the dashboard, then the trace and run-report
+    /// artifacts. `--prom` replaces a successful `result` with the
+    /// exposition.
+    fn finish(
+        mut self,
+        cli: &Cli,
+        title: &str,
+        workers: Option<cc_telemetry::WorkerSection>,
+        result: Result<String, CcError>,
+    ) -> Result<String, CcError> {
+        if let Some(sampler) = self.sampler.take() {
+            sampler.shutdown();
+        }
+        if let Some(observer) = self.observer.take() {
+            observer.shutdown();
+        }
+        if let (Some(path), Some(ring)) = (cli.dashboard_out.as_deref(), &self.ring) {
+            let title = format!("{title} — seed {:#x}", cli.study.seed);
+            let html = cc_obs::render_dashboard(&title, &ring.snapshot());
+            std::fs::write(path, &html).map_err(|e| CcError::io(path, e))?;
+        }
+        // Reporting happens after the command executed, so command-phase
+        // spans (the analysis report sections, dataset serialization) are
+        // captured.
+        let Some(session) = &self.session else {
+            return result;
+        };
+        if cli.trace {
+            eprint!("{}", session.render_trace());
+        }
+        if let Some(path) = cli.trace_out.as_deref() {
+            std::fs::write(path, session.chrome_trace()).map_err(|e| CcError::io(path, e))?;
+        }
+        if cli.metrics_out.is_none() && !cli.prom {
+            return result;
+        }
+        let report = session.collector().report(workers);
+        if let Some(path) = cli.metrics_out.as_deref() {
+            let json = report
+                .to_json()
+                .map_err(|e| CcError::Serde(format!("serialize run report: {e}")))?;
+            std::fs::write(path, &json).map_err(|e| CcError::io(path, e))?;
+        }
+        match result {
+            // `--prom`: the scrape-able exposition *is* the command
+            // output, so nothing else pollutes stdout.
+            Ok(_) if cli.prom => Ok(cc_telemetry::render_prometheus(&report)),
+            other => other,
+        }
+    }
+}
+
+impl Drop for Plane {
+    /// A run that fails part-way must not leave the observer bound.
+    fn drop(&mut self) {
+        if let Some(observer) = self.observer.take() {
+            observer.shutdown();
+        }
+    }
 }
 
 /// Run the `gaggle` subcommand — and `crawl --gaggle N`, which is the
@@ -988,36 +1067,6 @@ fn run_gaggle(cli: &Cli) -> Result<String, CcError> {
         ));
     }
 
-    // Manager (or `crawl --gaggle N`): the same opt-in telemetry session
-    // and fail-fast writability checks as an in-process study run.
-    let wants_session = cli.metrics_out.is_some()
-        || cli.trace
-        || cli.trace_out.is_some()
-        || cli.prom
-        || cli.obs_addr.is_some()
-        || cli.dashboard_out.is_some();
-    let session = if cli.trace_out.is_some() {
-        Some(cc_telemetry::Session::start_with_trace())
-    } else if wants_session {
-        Some(cc_telemetry::Session::start())
-    } else {
-        None
-    };
-    for (flag, path) in [
-        ("--metrics-out", cli.metrics_out.as_deref()),
-        ("--trace-out", cli.trace_out.as_deref()),
-        ("--dashboard-out", cli.dashboard_out.as_deref()),
-        ("--out", cli.out.as_deref()),
-    ] {
-        if let Some(path) = path {
-            std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(path)
-                .map_err(|e| CcError::cli(format!("{flag} {path}: not writable: {e}")))?;
-        }
-    }
-
     let spawn_workers = cli.gaggle.unwrap_or(0);
     let cfg = cc_gaggle::GaggleConfig {
         bind: cli.bind.clone().unwrap_or_else(|| "127.0.0.1:0".into()),
@@ -1025,45 +1074,14 @@ fn run_gaggle(cli: &Cli) -> Result<String, CcError> {
         lease_walks: cli.lease_walks.unwrap_or(25),
         lease_timeout_ms: cli.lease_timeout_ms.unwrap_or(3_000),
     };
-
-    // The observability plane, aimed at the gaggle: progress slots are
-    // per remote worker (modulo workers_expected), not per thread.
-    let progress =
-        std::sync::Arc::new(cc_util::ProgressCounters::new(cfg.workers_expected.max(1)));
-    let ring = std::sync::Arc::new(cc_telemetry::SnapshotRing::new(2_400));
-    let collector = session.as_ref().map(|s| s.shared_collector());
-    let obs_started = std::time::Instant::now();
-    let observer = match cli.obs_addr.as_deref() {
-        Some(addr) => {
-            let sources = cc_obs::ObsSources {
-                collector: collector.clone(),
-                progress: Some(std::sync::Arc::clone(&progress)),
-                ring: Some(std::sync::Arc::clone(&ring)),
-                epoch: None,
-            };
-            let handle = cc_obs::Observer::start(addr, sources)?;
-            if let Some(path) = cli.obs_addr_file.as_deref() {
-                std::fs::write(path, handle.addr().to_string())
-                    .map_err(|e| CcError::io(path, e))?;
-            }
-            Some(handle)
-        }
-        None => None,
-    };
-    let sampler = if observer.is_some() || cli.dashboard_out.is_some() {
-        Some(cc_obs::Sampler::start(
-            cc_obs::SamplerConfig::default(),
-            std::sync::Arc::clone(&ring),
-            collector.clone(),
-            Some(std::sync::Arc::clone(&progress)),
-        ))
-    } else {
-        None
-    };
+    // Manager (or `crawl --gaggle N`): the same plane as an in-process
+    // study run, with progress rows per remote worker (modulo
+    // workers_expected), not per thread.
+    let plane = Plane::start(cli, cfg.workers_expected.max(1))?;
 
     let mut opts = cc_gaggle::ManagerOptions {
         resume: None,
-        progress: Some(std::sync::Arc::clone(&progress)),
+        progress: Some(Arc::clone(&plane.progress)),
     };
     if let Some(path) = cli.resume.as_deref() {
         opts.resume = Some(CrawlCheckpoint::load(path)?);
@@ -1112,57 +1130,8 @@ fn run_gaggle(cli: &Cli) -> Result<String, CcError> {
         artifact_note = format!(" — wrote {} bytes to {path}", json.len());
     }
 
-    // Wind the plane down: one final sample, then the dashboard.
-    if sampler.is_some() {
-        ring.push(cc_obs::take_sample(
-            obs_started.elapsed().as_secs_f64(),
-            collector.as_deref(),
-            Some(&progress),
-        ));
-    }
-    if let Some(s) = sampler {
-        s.shutdown();
-    }
-    if let Some(o) = observer {
-        o.shutdown();
-    }
-    if let Some(path) = cli.dashboard_out.as_deref() {
-        let title = format!("crumbcruncher gaggle — seed {:#x}", cli.study.seed);
-        let html = cc_obs::render_dashboard(&title, &ring.snapshot());
-        std::fs::write(path, &html).map_err(|e| CcError::io(path, e))?;
-    }
-
-    let mut prom_out = None;
-    if let Some(session) = &session {
-        if cli.trace {
-            eprint!("{}", session.render_trace());
-        }
-        if let Some(path) = cli.trace_out.as_deref() {
-            std::fs::write(path, session.chrome_trace()).map_err(|e| CcError::io(path, e))?;
-        }
-        if cli.metrics_out.is_some() || cli.prom {
-            // A gaggle is parallel by construction: the report always
-            // carries the per-(remote-)worker progress section.
-            let report = session.report_with_workers(
-                cc_telemetry::WorkerSection::from_progress(&progress.snapshot()),
-            );
-            if let Some(path) = cli.metrics_out.as_deref() {
-                let json = report
-                    .to_json()
-                    .map_err(|e| CcError::Serde(format!("serialize run report: {e}")))?;
-                std::fs::write(path, &json).map_err(|e| CcError::io(path, e))?;
-            }
-            if cli.prom {
-                prom_out = Some(cc_telemetry::render_prometheus(&report));
-            }
-        }
-    }
-    if let Some(p) = prom_out {
-        return Ok(p);
-    }
-
     let s = &outcome.stats;
-    Ok(format!(
+    let summary = format!(
         "assembled {} walks from {} workers{artifact_note}\n\
          leases: {} issued, {} completed, {} expired, {} reissued, {} stale results dropped\n\
          frames: {} sent / {} received ({} / {} bytes)\n",
@@ -1177,7 +1146,11 @@ fn run_gaggle(cli: &Cli) -> Result<String, CcError> {
         s.frames_received,
         s.bytes_sent,
         s.bytes_received,
-    ))
+    );
+    // A gaggle is parallel by construction: the report always carries
+    // the per-(remote-)worker progress section.
+    let workers = cc_telemetry::WorkerSection::from_progress(&plane.progress.snapshot());
+    plane.finish(cli, "crumbcruncher gaggle", Some(workers), Ok(summary))
 }
 
 /// Run the `serve` subcommand: resolve the [`cc_serve::IndexSource`]
@@ -1198,13 +1171,7 @@ fn run_serve(cli: &Cli) -> Result<String, CcError> {
     let policy = &cli.study.serve;
     let handle = cc_serve::Server::start(
         source,
-        cc_serve::ServeConfig {
-            addr: policy.addr.clone(),
-            workers: policy.workers,
-            max_inflight: policy.max_inflight,
-            keep_alive_ms: policy.keep_alive_ms,
-            debug_delay_ms: 0,
-        },
+        serve_config(policy, &policy.addr, cc_serve::LiveSources::default()),
     )?;
     let addr = handle.addr();
     if let Some(path) = cli.addr_file.as_deref() {
@@ -1816,6 +1783,16 @@ mod tests {
         assert!(
             parse(&argv("crawl --parallel --out d.json")).is_err(),
             "--parallel was removed; the walk driver is not selectable"
+        );
+        // The serve port already answers every observer route.
+        let err = parse(&argv(
+            "crawl --out d.json --serve-addr 127.0.0.1:0 --obs-addr 127.0.0.1:0",
+        ))
+        .unwrap_err()
+        .to_string();
+        assert!(
+            err.contains("--serve-addr") && err.contains("--obs-addr"),
+            "unhelpful error: {err}"
         );
     }
 

@@ -187,7 +187,7 @@ impl Study {
 ///
 /// * [`StudyBuilder::progress`] — count into caller-owned
 ///   [`ProgressCounters`] (the observability hook: hand clones of the
-///   same counters to a cc-obs observer and watch the crawl live);
+///   same counters to a live cc-serve server and watch the crawl live);
 /// * [`StudyBuilder::resume`] / [`StudyBuilder::stop_after`] —
 ///   checkpoint/resume and deterministic graceful drain;
 /// * [`StudyBuilder::index_publisher`] — publish in-memory crawl

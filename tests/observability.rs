@@ -34,7 +34,7 @@ fn argv(s: &str) -> Vec<String> {
     s.split_whitespace().map(str::to_string).collect()
 }
 
-/// One GET per connection (the observer answers `Connection: close`).
+/// One GET per connection (dropped once the response is read).
 /// `None` when the observer is not (or no longer) reachable.
 fn get(addr: &str, path: &str) -> Option<Response> {
     let stream = TcpStream::connect(addr).ok()?;
@@ -218,5 +218,86 @@ fn dashboard_out_works_without_an_observer() {
     // Even a sub-interval run has charts: the final sample is pushed at
     // shutdown, so the ring is never empty.
     assert!(html.contains("<svg"), "no charts in a fast run's dashboard");
+
+    // One clock for every sample, and a final sample taken after the run
+    // finished.
+    let marker = "id=\"cc-obs-data\">";
+    let start = html.find(marker).expect("data block") + marker.len();
+    let end = start + html[start..].find("</script>").expect("data block end");
+    let data: serde_json::Value =
+        serde_json::from_str(&html[start..end].replace("<\\/", "</")).unwrap();
+    let samples = data
+        .as_object()
+        .and_then(|o| o.get("samples"))
+        .and_then(|s| s.as_array())
+        .expect("samples array");
+    let field = |sample: &serde_json::Value, name: &str| {
+        sample
+            .as_object()
+            .and_then(|o| o.get(name))
+            .and_then(|v| v.as_f64())
+            .unwrap_or_else(|| panic!("sample without {name}"))
+    };
+    let times: Vec<f64> = samples.iter().map(|s| field(s, "t_s")).collect();
+    assert!(
+        times.windows(2).all(|w| w[1] >= w[0]),
+        "sample times went backwards: {times:?}"
+    );
+    let last = samples.last().expect("at least one sample");
+    assert_eq!(
+        field(last, "walks"),
+        cli.study.total_walks() as f64,
+        "the last sample predates the end of the run"
+    );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn sampler_reads_the_live_server_collector() {
+    use crumbcruncher::serve::{IncrementalIndexBuilder, LiveSources, ServeConfig, Server};
+    use crumbcruncher::telemetry::Collector;
+    use std::sync::Arc;
+
+    let study = crumbcruncher::crawler::StudyConfig {
+        web: crumbcruncher::web::WebConfig::small(),
+        ..Default::default()
+    };
+    let index = IncrementalIndexBuilder::new(&study).warming().unwrap();
+    let collector = Arc::new(Collector::default());
+    let server = Server::start(
+        index,
+        ServeConfig {
+            debug_delay_ms: 400,
+            live: LiveSources {
+                collector: Some(Arc::clone(&collector)),
+                ..LiveSources::default()
+            },
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap();
+    let addr = server.addr().to_string();
+
+    let request = std::thread::spawn(move || get(&addr, "/healthz"));
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let sample = crumbcruncher::obs::take_sample(0.0, Some(&collector), None);
+        if sample.inflight >= 1.0 {
+            break;
+        }
+        assert!(!request.is_finished(), "never saw the request in flight");
+        assert!(Instant::now() < deadline, "never saw the request in flight");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let resp = request.join().unwrap().expect("the delayed request is answered");
+    assert_eq!(resp.status.0, 200);
+    // The latency is recorded just after the response is written; the
+    // shutdown join orders it before the read below.
+    server.shutdown();
+    let sample = crumbcruncher::obs::take_sample(1.0, Some(&collector), None);
+    assert_eq!(sample.inflight, 0.0);
+    assert!(
+        sample.latency_p50_ms > 0.0,
+        "the server's request latency never reached the sampled collector"
+    );
 }
