@@ -36,8 +36,9 @@ use crate::walker::CrawlConfig;
 pub struct CheckpointPolicy {
     /// Checkpoint file path (written atomically via temp-file + rename).
     pub path: String,
-    /// Completed walks between checkpoint writes (>= 1). A final
-    /// checkpoint is always written when the crawl stops.
+    /// Checkpoint cadence (>= 1): a write whenever the walks done, resumed
+    /// ones included, reach a multiple of `every`. When the crawl stops,
+    /// one more write follows only if the last does not hold every walk.
     pub every: usize,
 }
 

@@ -27,14 +27,13 @@
 //! this on serialized JSON.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
 
 use cc_util::{CcError, ProgressCounters};
 use cc_web::SimWeb;
 
-use crate::checkpoint::CrawlCheckpoint;
-use crate::config::{CheckpointPolicy, StudyConfig};
-use crate::record::{CrawlDataset, FailureStats, WalkRecord};
+use crate::checkpoint::{CrawlCheckpoint, CrawlLedger, PublishPolicy};
+use crate::config::StudyConfig;
+use crate::record::{CrawlDataset, FailureStats};
 use crate::walker::Walker;
 
 /// The shared walk queue: per-worker reserved prefixes plus a batched
@@ -126,123 +125,6 @@ impl Iterator for WorkerClaims<'_> {
     }
 }
 
-/// A consumer of in-memory crawl snapshots — the in-process twin of the
-/// checkpoint file. The executor hands each subscribed sink a complete
-/// [`CrawlCheckpoint`] (config + walks so far + truth ledger) every
-/// [`PublishPolicy::every`] walks, plus a final one after the last walk.
-///
-/// Snapshots are **monotone**: each one's walk set is a superset of the
-/// previous one's, and the final snapshot holds the whole study. A sink
-/// that only keeps the latest snapshot it has seen (coalescing) loses
-/// nothing — that is what lets cc-serve's `IndexPublisher` fold batches
-/// into fresh `ServingIndex` epochs without ever blocking a crawl worker.
-pub trait SnapshotSink: Send + Sync {
-    /// Receive a snapshot of the crawl so far. Called from whichever
-    /// worker thread completed the triggering walk, under the executor's
-    /// accumulator lock — implementations must hand off quickly (queue,
-    /// don't build).
-    fn publish(&self, snapshot: CrawlCheckpoint);
-}
-
-/// Publish a merged snapshot to `sink` every `every` walks (same hook
-/// family as [`CheckpointPolicy`], but in-memory instead of on-disk).
-#[derive(Clone)]
-pub struct PublishPolicy {
-    /// Snapshot cadence, in completed walks (must be ≥ 1).
-    pub every: usize,
-    /// Where snapshots go.
-    pub sink: Arc<dyn SnapshotSink>,
-}
-
-impl PublishPolicy {
-    /// Publish to `sink` every `every` walks (panics on a zero cadence).
-    pub fn new(every: usize, sink: Arc<dyn SnapshotSink>) -> PublishPolicy {
-        assert!(every > 0, "publish cadence must be at least one walk");
-        PublishPolicy { every, sink }
-    }
-}
-
-impl std::fmt::Debug for PublishPolicy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PublishPolicy").field("every", &self.every).finish()
-    }
-}
-
-/// How a [`crawl_study`] run starts and stops.
-#[derive(Debug, Default)]
-pub struct StudyRunOptions {
-    /// Resume from a checkpoint: its walks are kept, the truth ledger is
-    /// restored, and only the remaining walk ids run.
-    pub resume: Option<CrawlCheckpoint>,
-    /// Stop claiming after this many *new* walks (graceful drain): the
-    /// simulated `kill -TERM` used to exercise checkpoint/resume. Because
-    /// walks are claimed in id order, the surviving set is deterministic.
-    pub stop_after: Option<usize>,
-    /// Publish in-memory snapshots while the crawl runs (the live-serving
-    /// hook; independent of the on-disk [`CheckpointPolicy`]).
-    pub publish: Option<PublishPolicy>,
-}
-
-/// Shared per-walk sink: workers report each finished walk into one
-/// accumulator; every `checkpoint.every`-th completion serializes
-/// base + accumulated walks to disk (atomic temp-file + rename), and
-/// every `publish.every`-th completion hands the same merged snapshot to
-/// the in-memory [`SnapshotSink`]. One accumulator serves both cadences,
-/// so a walk is counted exactly once however many sinks are subscribed.
-struct WalkSinks<'a> {
-    checkpoint: Option<&'a CheckpointPolicy>,
-    publish: Option<&'a PublishPolicy>,
-    study: &'a StudyConfig,
-    web: &'a SimWeb,
-    base: &'a CrawlDataset,
-    acc: Mutex<CrawlDataset>,
-    error: Mutex<Option<CcError>>,
-}
-
-impl WalkSinks<'_> {
-    fn active(&self) -> bool {
-        self.checkpoint.is_some() || self.publish.is_some()
-    }
-
-    fn record(&self, walk: WalkRecord, failures: FailureStats) {
-        let mut acc = self.acc.lock().expect("walk-sink accumulator poisoned");
-        acc.ledger.note(&walk);
-        acc.walks.push(walk);
-        acc.failures.absorb(failures);
-        let done = acc.walks.len();
-        let save_due = self.checkpoint.is_some_and(|p| done.is_multiple_of(p.every));
-        let publish_due = self.publish.is_some_and(|p| done.is_multiple_of(p.every));
-        if save_due || publish_due {
-            let partial = CrawlDataset::merge([self.base.clone(), acc.clone()]);
-            // Emit while still holding the lock: checkpoint writes share
-            // one temp file, so concurrent writers would race on the
-            // write-then-rename pair — and serialized emission also keeps
-            // both the on-disk checkpoint and the published snapshot
-            // stream monotonically growing.
-            self.emit(partial, save_due, publish_due);
-        }
-    }
-
-    fn emit(&self, partial: CrawlDataset, save: bool, publish: bool) {
-        let ck = CrawlCheckpoint::new(self.study, partial, self.web.truth_snapshot());
-        if save {
-            if let Some(policy) = self.checkpoint {
-                if let Err(e) = ck.save(&policy.path) {
-                    self.error
-                        .lock()
-                        .expect("walk-sink error slot poisoned")
-                        .get_or_insert(e);
-                }
-            }
-        }
-        if publish {
-            if let Some(policy) = self.publish {
-                policy.sink.publish(ck);
-            }
-        }
-    }
-}
-
 /// Run (or resume) a whole study through the work-stealing executor.
 ///
 /// This is the [`StudyConfig`]-driven entry point: worker count, retry and
@@ -259,9 +141,7 @@ pub fn crawl_study(web: &SimWeb, study: &StudyConfig) -> Result<CrawlDataset, Cc
 
 /// A configured study run: the builder face of the executor.
 ///
-/// Replaces the widening `crawl_study_with_options` /
-/// `crawl_study_with_progress` parameter lists — chain exactly the
-/// options a call site needs:
+/// Chain exactly the options a call site needs:
 ///
 /// ```ignore
 /// let dataset = StudyRun::new(&web, &study)
@@ -275,7 +155,9 @@ pub fn crawl_study(web: &SimWeb, study: &StudyConfig) -> Result<CrawlDataset, Cc
 pub struct StudyRun<'a> {
     web: &'a SimWeb,
     study: &'a StudyConfig,
-    opts: StudyRunOptions,
+    resume: Option<CrawlCheckpoint>,
+    stop_after: Option<usize>,
+    publish: Option<PublishPolicy>,
     progress: Option<&'a ProgressCounters>,
 }
 
@@ -286,7 +168,9 @@ impl<'a> StudyRun<'a> {
         StudyRun {
             web,
             study,
-            opts: StudyRunOptions::default(),
+            resume: None,
+            stop_after: None,
+            publish: None,
             progress: None,
         }
     }
@@ -294,27 +178,23 @@ impl<'a> StudyRun<'a> {
     /// Resume from `checkpoint`: its walks are kept, the truth ledger
     /// restored, and only the remaining walk ids run.
     pub fn resume(mut self, checkpoint: CrawlCheckpoint) -> Self {
-        self.opts.resume = Some(checkpoint);
+        self.resume = Some(checkpoint);
         self
     }
 
-    /// Stop claiming after `n` *new* walks (deterministic graceful drain).
+    /// Stop claiming after `n` *new* walks (graceful drain): the simulated
+    /// `kill -TERM` used to exercise checkpoint/resume. Because walks are
+    /// claimed in id order, the surviving set is deterministic.
     pub fn stop_after(mut self, n: usize) -> Self {
-        self.opts.stop_after = Some(n);
+        self.stop_after = Some(n);
         self
     }
 
     /// Publish in-memory [`CrawlCheckpoint`] snapshots to `policy.sink`
-    /// every `policy.every` walks, plus a final complete one.
+    /// every `policy.every` walks, plus a final complete one (the
+    /// live-serving hook; independent of the on-disk checkpoint policy).
     pub fn publish(mut self, policy: PublishPolicy) -> Self {
-        self.opts.publish = Some(policy);
-        self
-    }
-
-    /// Replace the whole option block at once (the escape hatch shims
-    /// lower onto).
-    pub fn options(mut self, opts: StudyRunOptions) -> Self {
-        self.opts = opts;
+        self.publish = Some(policy);
         self
     }
 
@@ -325,15 +205,29 @@ impl<'a> StudyRun<'a> {
         self
     }
 
-    /// Execute the run.
+    /// Execute the run: every finished walk goes through one
+    /// [`CrawlLedger`], which resumes, checkpoints, publishes and merges.
     pub fn run(self) -> Result<CrawlDataset, CcError> {
-        match self.progress {
-            Some(p) => run_study(self.web, self.study, self.opts, p),
+        let owned;
+        let progress = match self.progress {
+            Some(p) => p,
             None => {
-                let progress = ProgressCounters::new(self.study.workers);
-                run_study(self.web, self.study, self.opts, &progress)
+                owned = ProgressCounters::new(self.study.workers);
+                &owned
             }
+        };
+        let (ledger, mut ids) =
+            CrawlLedger::start(self.study, self.web, self.resume, self.publish)?;
+        if let Some(n) = self.stop_after {
+            ids.truncate(n);
         }
+        // With nothing to emit before the end, workers keep private shards
+        // (no lock per walk) and the ledger takes each shard once.
+        let per_walk = ledger.emits().then_some(&ledger);
+        for shard in crawl_ids_sharded(self.web, self.study, &ids, progress, per_walk) {
+            ledger.absorb(shard);
+        }
+        ledger.finish()
     }
 }
 
@@ -350,7 +244,8 @@ impl<'a> StudyRun<'a> {
 /// Unlike [`crawl_study`], the returned dataset holds *only* the requested
 /// ids (no resume base), and no checkpoint or publish sinks fire: the
 /// lease holder owns transport, the lessor owns durability. Ids outside
-/// the seeder range are skipped, matching [`run_study`]'s clamping.
+/// the seeder range are skipped, matching [`CrawlLedger::start`]'s
+/// clamping.
 pub fn crawl_walk_ids(web: &SimWeb, study: &StudyConfig, ids: &[u32]) -> CrawlDataset {
     let progress = ProgressCounters::new(study.workers);
     crawl_walk_ids_with_progress(web, study, ids, &progress)
@@ -373,13 +268,15 @@ pub fn crawl_walk_ids_with_progress(
 
 /// The shared shard loop: crawl `ids` over `study.workers` work-stealing
 /// threads and return the per-worker shards (unmerged, so callers choose
-/// whether a resume base joins the merge).
+/// whether a resume base joins the merge). With a `ledger`, each walk is
+/// handed to it as soon as it finishes (the returned shards are then
+/// empty), and workers stop claiming once one of its writes has failed.
 fn crawl_ids_sharded(
     web: &SimWeb,
     study: &StudyConfig,
     ids: &[u32],
     progress: &ProgressCounters,
-    sinks: Option<&WalkSinks<'_>>,
+    ledger: Option<&CrawlLedger<&SimWeb>>,
 ) -> Vec<CrawlDataset> {
     let seeders = web.seeder_urls();
     let queue = WalkQueue::new(ids.len(), study.workers);
@@ -402,6 +299,9 @@ fn crawl_ids_sharded(
                     let mut shard = CrawlDataset::default();
                     let mut claimed: u64 = 0;
                     for i in queue.worker(worker) {
+                        if ledger.is_some_and(CrawlLedger::failed) {
+                            break;
+                        }
                         claimed += 1;
                         let walk_id = ids[i];
                         // Fresh per-walk failure accounting so checkpoints
@@ -410,12 +310,12 @@ fn crawl_ids_sharded(
                         let mut wf = FailureStats::default();
                         let walk = walker.walk(walk_id, seeders[walk_id as usize].clone(), &mut wf);
                         progress.record_walk(worker, walk.steps.len() as u64);
-                        if let Some(s) = sinks {
-                            s.record(walk.clone(), wf);
-                        }
                         shard.failures.absorb(wf);
                         shard.ledger.note(&walk);
                         shard.walks.push(walk);
+                        if let Some(l) = ledger {
+                            l.absorb(std::mem::take(&mut shard));
+                        }
                     }
                     // Scheduling-dependent readings are gauges (timing
                     // section), never counters: which worker claimed how
@@ -454,73 +354,12 @@ fn crawl_ids_sharded(
     })
 }
 
-/// The study runner proper (every public entry point lowers to this).
-fn run_study(
-    web: &SimWeb,
-    study: &StudyConfig,
-    opts: StudyRunOptions,
-    progress: &ProgressCounters,
-) -> Result<CrawlDataset, CcError> {
-    let seeders = web.seeder_urls();
-    let total = study.total_walks().min(seeders.len());
-
-    let (base, mut ids) = match opts.resume {
-        Some(ck) => {
-            ck.validate_against(study)?;
-            // Restore the ground-truth ledger so the resumed run's report
-            // (not only its dataset) matches an uninterrupted run.
-            web.absorb_truth(&ck.truth);
-            let remaining = ck.remaining();
-            cc_telemetry::counter("crawl.resume.walks_restored", ck.partial.walks.len() as u64);
-            cc_telemetry::counter("crawl.resume.walks_remaining", remaining.len() as u64);
-            (ck.partial, remaining)
-        }
-        None => (CrawlDataset::default(), (0..total as u32).collect()),
-    };
-    ids.retain(|&id| (id as usize) < seeders.len());
-    if let Some(n) = opts.stop_after {
-        ids.truncate(n);
-    }
-
-    let sinks = WalkSinks {
-        checkpoint: study.checkpoint.as_ref(),
-        publish: opts.publish.as_ref(),
-        study,
-        web,
-        base: &base,
-        acc: Mutex::new(CrawlDataset::default()),
-        error: Mutex::new(None),
-    };
-    let sinks = sinks.active().then_some(&sinks);
-
-    let shards = crawl_ids_sharded(web, study, &ids, progress, sinks);
-
-    if let Some(s) = sinks {
-        if let Some(e) = s.error.lock().expect("walk-sink error slot poisoned").take() {
-            return Err(e);
-        }
-    }
-
-    let merged = CrawlDataset::merge(std::iter::once(base).chain(shards));
-    if study.checkpoint.is_some() || opts.publish.is_some() {
-        // Final emission: a crawl stopped between intervals (or drained by
-        // stop_after) still leaves a current checkpoint behind, and
-        // subscribers always see one snapshot holding every walk run.
-        let final_ck = CrawlCheckpoint::new(study, merged.clone(), web.truth_snapshot());
-        if let Some(policy) = &study.checkpoint {
-            final_ck.save(&policy.path)?;
-        }
-        if let Some(policy) = &opts.publish {
-            policy.sink.publish(final_ck);
-        }
-    }
-    Ok(merged)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::checkpoint::SnapshotSink;
     use cc_web::{generate, WebConfig};
+    use std::sync::{Arc, Mutex};
 
     fn study(workers: usize) -> StudyConfig {
         StudyConfig::builder()
@@ -656,6 +495,33 @@ mod tests {
     }
 
     #[test]
+    fn checkpoint_write_error_stops_claims() {
+        let path = std::env::temp_dir()
+            .join("cc-exec-no-such-dir")
+            .join("ck.json");
+        let study = StudyConfig::builder()
+            .web(WebConfig {
+                n_seeders: 40,
+                ..WebConfig::small()
+            })
+            .seed(5)
+            .steps(3)
+            .walks(40)
+            .workers(2)
+            .checkpoint(path.to_str().unwrap(), 1)
+            .build()
+            .unwrap();
+        let web = generate(&study.web);
+        let progress = ProgressCounters::new(2);
+        let err = StudyRun::new(&web, &study).progress(&progress).run().unwrap_err();
+        assert!(matches!(err, CcError::Io { .. }), "{err}");
+        // The first write fails; each worker finishes at most the walk it
+        // was on, then claims nothing more.
+        let walks = progress.snapshot().walks;
+        assert!(walks <= 2, "{walks} walks ran after the first failed write");
+    }
+
+    #[test]
     fn resume_with_mismatched_config_is_refused() {
         let study = faulty_study(1, None);
         let ck = CrawlCheckpoint::new(&study, CrawlDataset::default(), cc_web::TruthLog::new());
@@ -690,6 +556,7 @@ mod tests {
 
         let snaps = sink.snapshots.lock().unwrap();
         assert!(!snaps.is_empty(), "a 12-walk study publishing every 4 must snapshot");
+        assert_eq!(snaps.len(), 3, "publishes at 4, 8 and 12 walks, none repeated");
         let mut last = 0usize;
         for s in snaps.iter() {
             assert!(s.partial.walks.len() >= last, "snapshot walk counts regressed");

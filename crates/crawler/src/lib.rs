@@ -22,6 +22,9 @@
 //!   bit-identical to [`Walker::crawl`] at any worker count. The paper's
 //!   twelve-instance deployment (§3.8) runs as cc-gaggle leases over
 //!   [`crawl_walk_ids`].
+//! * [`checkpoint`] — `cc-checkpoint/v1` and [`CrawlLedger`], the one
+//!   resume → accumulate → emit path the executor and the cc-gaggle
+//!   manager share.
 //! * [`record`] — the crawl dataset (serde-serializable, like the paper's
 //!   released dataset): per-step observations of storage snapshots,
 //!   clicked elements, navigation hops, and beacon requests.
@@ -37,12 +40,11 @@ pub mod names;
 pub mod record;
 pub mod walker;
 
-pub use checkpoint::{CrawlCheckpoint, CHECKPOINT_SCHEMA};
-pub use config::{CheckpointPolicy, ServePolicy, StudyConfig, StudyConfigBuilder};
-pub use executor::{
-    crawl_study, crawl_walk_ids, crawl_walk_ids_with_progress, PublishPolicy, SnapshotSink,
-    StudyRun, StudyRunOptions,
+pub use checkpoint::{
+    CrawlCheckpoint, CrawlLedger, PublishPolicy, SnapshotSink, CHECKPOINT_SCHEMA,
 };
+pub use config::{CheckpointPolicy, ServePolicy, StudyConfig, StudyConfigBuilder};
+pub use executor::{crawl_study, crawl_walk_ids, crawl_walk_ids_with_progress, StudyRun};
 pub use matching::{same_element, select_shared};
 pub use names::{CrawlerName, UserId};
 pub use record::{

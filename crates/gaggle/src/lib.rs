@@ -18,9 +18,10 @@
 //!   study config, crawls each lease through the existing parallel
 //!   executor, and ships dataset shards + truth snapshots back.
 //!
-//! Checkpoint/resume reuses cc-checkpoint/v1 unchanged: the manager saves
-//! on the study's checkpoint policy and resumes from the same files a
-//! single-process run writes.
+//! Checkpoint/resume reuses cc-checkpoint/v1 unchanged: the manager
+//! absorbs accepted shards into the same [`cc_crawler::CrawlLedger`] a
+//! single-process run uses, so it saves on the study's checkpoint policy,
+//! resumes from the same files, and stops leasing on a failed write.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -158,5 +159,44 @@ mod tests {
         let outcome = manager.join().unwrap();
         assert_eq!(outcome.dataset, full);
         assert_eq!(outcome.stats.leases_issued, 0);
+    }
+
+    /// A failed checkpoint write stops the leasing: the worker is sent
+    /// away after its first lease and `join` returns the typed error.
+    #[test]
+    fn checkpoint_write_error_fails_the_run() {
+        let path = std::env::temp_dir()
+            .join("cc-gaggle-no-such-dir")
+            .join("ck.json");
+        let study = StudyConfig::builder()
+            .web(cc_web::WebConfig {
+                n_seeders: 40,
+                ..cc_web::WebConfig::small()
+            })
+            .seed(5)
+            .steps(3)
+            .walks(40)
+            .workers(2)
+            .checkpoint(path.to_str().unwrap(), 1)
+            .build()
+            .unwrap();
+        let manager = Manager::start(
+            &study,
+            GaggleConfig {
+                lease_walks: 4,
+                ..GaggleConfig::default()
+            },
+            ManagerOptions::default(),
+        )
+        .unwrap();
+        let cfg = WorkerConfig {
+            connect: manager.addr().to_string(),
+            label: "doomed".into(),
+        };
+        let worker = std::thread::spawn(move || run_worker(&cfg));
+        let err = manager.join().err().expect("a failed checkpoint write fails the run");
+        assert!(matches!(err, cc_util::CcError::Io { .. }), "{err}");
+        let summary = worker.join().unwrap().unwrap();
+        assert_eq!(summary.leases, 1, "leases kept coming after the failed write");
     }
 }

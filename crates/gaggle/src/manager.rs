@@ -21,7 +21,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
-use cc_crawler::{CrawlCheckpoint, CrawlDataset, StudyConfig};
+use cc_crawler::{CrawlCheckpoint, CrawlDataset, CrawlLedger, StudyConfig};
 use cc_telemetry::CounterId;
 use cc_util::{CcError, ProgressCounters};
 use cc_web::{generate, SimWeb};
@@ -125,12 +125,7 @@ struct LeaseState {
     outstanding: BTreeMap<u64, OutstandingLease>,
     next_lease_id: u64,
     done: bool,
-    base: CrawlDataset,
-    shards: Vec<CrawlDataset>,
-    walks_done: usize,
-    last_saved_bucket: usize,
     stats: GaggleStats,
-    error: Option<CcError>,
 }
 
 struct Shared {
@@ -138,6 +133,9 @@ struct Shared {
     web: Arc<SimWeb>,
     cfg: GaggleConfig,
     progress: Option<Arc<ProgressCounters>>,
+    /// Accepted shards, checkpoints and the resume base (its own lock, so
+    /// a checkpoint write never holds up heartbeats).
+    ledger: CrawlLedger<Arc<SimWeb>>,
     state: Mutex<LeaseState>,
     cv: Condvar,
 }
@@ -230,7 +228,10 @@ impl Shared {
     fn next_lease(&self, worker: u32) -> Option<(u64, Vec<u32>)> {
         let mut st = self.lock();
         loop {
-            if st.done {
+            // A failed checkpoint write ends the run: lease nothing more.
+            if st.done || self.ledger.failed() {
+                st.done = true;
+                self.cv.notify_all();
                 return None;
             }
             self.sweep_expired(&mut st);
@@ -277,14 +278,14 @@ impl Shared {
         }
     }
 
-    /// Accept (or drop) a ShardResult. Returns `true` if accepted.
+    /// Accept (or drop) a ShardResult.
     fn accept_result(
         &self,
         worker: u32,
         lease_id: u64,
         shard: CrawlDataset,
         truth: &cc_web::TruthLog,
-    ) -> bool {
+    ) {
         let mut st = self.lock();
         let live = st
             .outstanding
@@ -295,14 +296,19 @@ impl Shared {
             // existed). Accepting it would double-count the walks.
             st.stats.results_dropped_stale += 1;
             cc_telemetry::counter_id(CounterId::GAGGLE_RESULTS_DROPPED_STALE, 1);
-            return false;
+            return;
         }
         st.outstanding.remove(&lease_id);
         st.stats.leases_completed += 1;
         cc_telemetry::counter_id(CounterId::GAGGLE_LEASES_COMPLETED, 1);
+        if st.pending.is_empty() && st.outstanding.is_empty() {
+            st.done = true;
+        }
+        drop(st);
 
         // Idempotent converge: identical mints collapse, so absorbing
         // every worker's full snapshot yields the single-process ledger.
+        // Truth first, so any checkpoint the shard triggers covers it.
         self.web.absorb_truth(truth);
         if let Some(p) = &self.progress {
             let slot = worker as usize % p.n_workers().max(1);
@@ -310,33 +316,11 @@ impl Shared {
                 p.record_walk(slot, walk.steps.len() as u64);
             }
         }
-        st.walks_done += shard.walks.len();
-        st.shards.push(shard);
-
-        // Periodic checkpoint on the same config knob a single-process
-        // run uses. Cadence is per accepted lease (not per walk), so
-        // intermediate files differ run-to-run — only the final artifacts
-        // are byte-pinned, and the final checkpoint is written at join.
-        if let Some(policy) = &self.study.checkpoint {
-            let total = st.base.walks.len() + st.walks_done;
-            let bucket = total / policy.every.max(1);
-            if bucket > st.last_saved_bucket {
-                st.last_saved_bucket = bucket;
-                let merged = CrawlDataset::merge(
-                    std::iter::once(st.base.clone()).chain(st.shards.iter().cloned()),
-                );
-                let ck = CrawlCheckpoint::new(&self.study, merged, self.web.truth_snapshot());
-                if let Err(e) = ck.save(&policy.path) {
-                    st.error.get_or_insert(e);
-                }
-            }
-        }
-
-        if st.pending.is_empty() && st.outstanding.is_empty() {
-            st.done = true;
-        }
+        // Checkpoints follow the same cadence rule as a single-process
+        // run, but land per accepted lease, so intermediate files differ
+        // run-to-run; only the final checkpoint is byte-pinned.
+        self.ledger.absorb(shard);
         self.cv.notify_all();
-        true
     }
 }
 
@@ -356,21 +340,7 @@ impl Manager {
     ) -> Result<Manager, CcError> {
         study.validate()?;
         let web = Arc::new(generate(&study.web));
-        let seeders_len = web.seeder_urls().len();
-        let total = study.total_walks().min(seeders_len);
-
-        let (base, mut ids) = match opts.resume {
-            Some(ck) => {
-                ck.validate_against(study)?;
-                web.absorb_truth(&ck.truth);
-                let remaining = ck.remaining();
-                cc_telemetry::counter("crawl.resume.walks_restored", ck.partial.walks.len() as u64);
-                cc_telemetry::counter("crawl.resume.walks_remaining", remaining.len() as u64);
-                (ck.partial, remaining)
-            }
-            None => (CrawlDataset::default(), (0..total as u32).collect()),
-        };
-        ids.retain(|&id| (id as usize) < seeders_len);
+        let (ledger, ids) = CrawlLedger::start(study, Arc::clone(&web), opts.resume, None)?;
 
         let lease_walks = cfg.lease_walks.max(1);
         let pending: VecDeque<PendingLease> = ids
@@ -380,18 +350,12 @@ impl Manager {
                 reissue: false,
             })
             .collect();
-        let every = study.checkpoint.as_ref().map_or(1, |p| p.every.max(1));
         let state = LeaseState {
             done: pending.is_empty(),
             pending,
             outstanding: BTreeMap::new(),
             next_lease_id: 1,
-            last_saved_bucket: base.walks.len() / every,
-            base,
-            shards: Vec::new(),
-            walks_done: 0,
             stats: GaggleStats::default(),
-            error: None,
         };
 
         let listener =
@@ -408,6 +372,7 @@ impl Manager {
             web,
             cfg,
             progress: opts.progress,
+            ledger,
             state: Mutex::new(state),
             cv: Condvar::new(),
         });
@@ -432,6 +397,7 @@ fn run_manager(
 ) -> Result<ManagerOutcome, CcError> {
     let mut handlers = Vec::new();
     let mut next_worker_id = 0u32;
+    let mut accept_error = None;
     while !shared.done() {
         match listener.accept() {
             Ok((stream, _peer)) => {
@@ -444,9 +410,8 @@ fn run_manager(
                 std::thread::sleep(Duration::from_millis(10));
             }
             Err(e) => {
-                let mut st = shared.lock();
-                st.error.get_or_insert(CcError::io("gaggle accept", e));
-                st.done = true;
+                accept_error = Some(CcError::io("gaggle accept", e));
+                shared.lock().done = true;
                 shared.cv.notify_all();
             }
         }
@@ -454,27 +419,14 @@ fn run_manager(
     for h in handlers {
         let _ = h.join();
     }
-
-    let mut st = shared.lock();
-    if let Some(e) = st.error.take() {
+    if let Some(e) = accept_error {
         return Err(e);
     }
-    let base = std::mem::take(&mut st.base);
-    let shards = std::mem::take(&mut st.shards);
-    let stats = st.stats.clone();
-    drop(st);
-
-    let dataset = CrawlDataset::merge(std::iter::once(base).chain(shards));
-    if let Some(policy) = &shared.study.checkpoint {
-        // Final emission, same as a single-process run: the file on disk
-        // always ends holding the complete study.
-        let ck = CrawlCheckpoint::new(&shared.study, dataset.clone(), shared.web.truth_snapshot());
-        ck.save(&policy.path)?;
-    }
+    let dataset = shared.ledger.finish()?;
     Ok(ManagerOutcome {
         web: Arc::clone(&shared.web),
         dataset,
-        stats,
+        stats: shared.lock().stats.clone(),
     })
 }
 

@@ -144,9 +144,8 @@ fn outage_duration(h: u64) -> SimDuration {
     }
 }
 
-/// The pre-registered counter for an injected fault kind — replaces the
-/// old `counter_labeled("net.fault.injected", &e.to_string(), 1)`, which
-/// allocated the `Display` string and a formatted key on every injection.
+/// The pre-registered counter for an injected fault kind, so an injection
+/// allocates neither the error's `Display` string nor a formatted key.
 fn fault_counter(e: NetError) -> cc_telemetry::CounterId {
     match e {
         NetError::ConnRefused => cc_telemetry::CounterId::NET_FAULT_ECONNREFUSED,

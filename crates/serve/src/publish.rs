@@ -170,7 +170,7 @@ impl std::fmt::Debug for IndexPublisher {
 
 impl SnapshotSink for IndexPublisher {
     fn publish(&self, snapshot: CrawlCheckpoint) {
-        // Called under the executor's accumulator lock: just enqueue. A
+        // Called under the crawl ledger's lock: just enqueue. A
         // send after finish() means the sink outlived its crawl — drop.
         if let Some(tx) = self.tx.lock().expect("publisher sender poisoned").as_ref() {
             let _ = tx.send(snapshot);

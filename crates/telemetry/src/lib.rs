@@ -108,14 +108,6 @@ pub fn counter(name: &str, n: u64) {
     }
 }
 
-/// Add `n` to the counter `"{name}.{label}"` (the label is appended only
-/// when recording is on, so callers pay no formatting cost when off).
-pub fn counter_labeled(name: &str, label: &str, n: u64) {
-    if let Some(c) = sink() {
-        c.add_counter(&format!("{name}.{label}"), n);
-    }
-}
-
 /// Set the named gauge to `value` (last write wins).
 ///
 /// Gauges land in the **timing** report section and may be
@@ -233,7 +225,6 @@ mod tests {
         let session = Session::start();
         counter("test.counter", 2);
         counter("test.counter", 3);
-        counter_labeled("test.fault", "ECONNRESET", 1);
         gauge("test.gauge", 4.5);
         gauge_labeled("test.worker", "0", 7.0);
         observe_ms("test.latency", 12.0);
@@ -245,7 +236,6 @@ mod tests {
         }
         let report = session.report();
         assert_eq!(report.deterministic.counters["test.counter"], 5);
-        assert_eq!(report.deterministic.counters["test.fault.ECONNRESET"], 1);
         assert_eq!(report.timing.gauges["test.gauge"], 4.5);
         assert_eq!(report.timing.gauges["test.worker.0"], 7.0);
         assert_eq!(report.timing.histograms["test.latency"].count, 1);

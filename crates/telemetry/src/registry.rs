@@ -111,6 +111,9 @@ declare_ids! {
     BROWSER_REDIRECT_CHAINS_FOLLOWED => "browser.redirect_chains.followed",
     CRAWL_STEPS_RECORDED => "crawl.steps.recorded",
     CRAWL_WALKS_WITH_RETRIES => "crawl.walks.with_retries",
+    CRAWL_CHECKPOINT_WRITES => "crawl.checkpoint.writes",
+    CRAWL_RESUME_WALKS_RESTORED => "crawl.resume.walks_restored",
+    CRAWL_RESUME_WALKS_REMAINING => "crawl.resume.walks_remaining",
     CLASSIFY_UID_CONFIRMED => "classify.uid_confirmed",
     SERVE_REQUESTS => "serve.requests",
     SERVE_SESSIONS => "serve.sessions",

@@ -23,7 +23,7 @@
 
 use std::sync::Arc;
 
-use cc_crawler::{CheckpointPolicy, CrawlCheckpoint, StudyConfig, StudyRunOptions};
+use cc_crawler::{CheckpointPolicy, CrawlCheckpoint, StudyConfig};
 use cc_net::{BreakerPolicy, RetryPolicy};
 use cc_util::CcError;
 use cc_web::WebConfig;
@@ -184,12 +184,14 @@ FAULT TOLERANCE:
   --breaker N          trip a per-host circuit breaker after N consecutive
                        failures (0 = off; default off)
   --checkpoint PATH    write a resumable crawl checkpoint to PATH
-  --checkpoint-every K checkpoint every K completed walks (default 100;
-                       requires --checkpoint)
+  --checkpoint-every K checkpoint whenever the walks done, resumed ones
+                       included, reach a multiple of K (default 100;
+                       requires --checkpoint); a failed write stops the
+                       crawl with an error
   --resume PATH        resume a killed crawl from its checkpoint; the final
                        dataset is identical to an uninterrupted run
-  --kill-after N       stop the crawl gracefully after N new walks (writes
-                       a final checkpoint when --checkpoint is set)
+  --kill-after N       stop the crawl gracefully after N new walks (leaves
+                       a checkpoint of them when --checkpoint is set)
 
 SERVING:
   --load PATH          serve from a finished crawl checkpoint instead of crawling
@@ -765,12 +767,12 @@ pub fn run(cli: &Cli) -> Result<String, CcError> {
     }
 
     let plane = Plane::start(cli, cli.study.workers)?;
-    let mut opts = StudyRunOptions {
-        stop_after: cli.kill_after,
-        ..StudyRunOptions::default()
-    };
+    let mut study_builder = Study::builder(&cli.study).progress(&plane.progress);
+    if let Some(n) = cli.kill_after {
+        study_builder = study_builder.stop_after(n);
+    }
     if let Some(path) = cli.resume.as_deref() {
-        opts.resume = Some(CrawlCheckpoint::load(path)?);
+        study_builder = study_builder.resume(CrawlCheckpoint::load(path)?);
     }
 
     // Live serving (`crawl --serve-addr`): start the server on a warming
@@ -804,7 +806,6 @@ pub fn run(cli: &Cli) -> Result<String, CcError> {
         None => None,
     };
 
-    let mut study_builder = Study::builder(&cli.study).options(opts).progress(&plane.progress);
     if let Some((_, publisher, _)) = &live {
         study_builder = study_builder.index_publisher(
             cli.publish_every.unwrap_or(25),

@@ -57,7 +57,7 @@ use cc_analysis::report::{full_report, AnalysisReport};
 use cc_core::pipeline::PipelineOutput;
 use cc_crawler::{
     CrawlCheckpoint, CrawlConfig, CrawlDataset, PublishPolicy, SnapshotSink, StudyConfig,
-    StudyRun, StudyRunOptions, Walker,
+    StudyRun, Walker,
 };
 use cc_util::{CcError, ProgressCounters, ProgressSnapshot};
 use cc_web::{generate, SimWeb, WebConfig};
@@ -124,7 +124,9 @@ impl Study {
     pub fn builder(study: &StudyConfig) -> StudyBuilder<'_> {
         StudyBuilder {
             study,
-            opts: StudyRunOptions::default(),
+            resume: None,
+            stop_after: None,
+            publish: None,
             progress: None,
         }
     }
@@ -181,9 +183,7 @@ impl Study {
 
 /// A configured facade-level study run (from [`Study::builder`]).
 ///
-/// Collapses the old `from_config` / `from_config_with_options` /
-/// `from_config_with_progress` family — and the widening parameter lists
-/// they forced — into chained options:
+/// Chained options, each lowered onto the executor's [`StudyRun`]:
 ///
 /// * [`StudyBuilder::progress`] — count into caller-owned
 ///   [`ProgressCounters`] (the observability hook: hand clones of the
@@ -192,37 +192,31 @@ impl Study {
 ///   checkpoint/resume and deterministic graceful drain;
 /// * [`StudyBuilder::index_publisher`] — publish in-memory crawl
 ///   snapshots every K walks to a [`SnapshotSink`] (cc-serve's
-///   `IndexPublisher` folds them into live `ServingIndex` epochs);
-/// * the on-disk checkpoint sink stays configured where it always was,
-///   in [`StudyConfig::checkpoint`] — [`StudyBuilder::checkpoint_sink`]
-///   is a per-run override for callers that don't want to mutate the
-///   shared config.
+///   `IndexPublisher` folds them into live `ServingIndex` epochs).
+///
+/// The on-disk checkpoint schedule is configured in
+/// [`StudyConfig::checkpoint`].
 #[derive(Debug)]
 #[must_use = "a StudyBuilder does nothing until .run() is called"]
 pub struct StudyBuilder<'a> {
     study: &'a StudyConfig,
-    opts: StudyRunOptions,
+    resume: Option<CrawlCheckpoint>,
+    stop_after: Option<usize>,
+    publish: Option<PublishPolicy>,
     progress: Option<&'a ProgressCounters>,
 }
 
 impl<'a> StudyBuilder<'a> {
-    /// Replace the whole executor option block at once (the escape hatch
-    /// the deprecated shims lower onto).
-    pub fn options(mut self, opts: StudyRunOptions) -> Self {
-        self.opts = opts;
-        self
-    }
-
     /// Resume from a checkpoint produced under the same configuration.
     pub fn resume(mut self, checkpoint: CrawlCheckpoint) -> Self {
-        self.opts.resume = Some(checkpoint);
+        self.resume = Some(checkpoint);
         self
     }
 
     /// Stop claiming after `n` new walks (deterministic graceful drain —
     /// the simulated `kill -TERM` the fault-tolerance suites use).
     pub fn stop_after(mut self, n: usize) -> Self {
-        self.opts.stop_after = Some(n);
+        self.stop_after = Some(n);
         self
     }
 
@@ -236,91 +230,60 @@ impl<'a> StudyBuilder<'a> {
     /// Publish an in-memory crawl snapshot to `sink` every `every` walks
     /// (plus a final complete one) while the crawl runs.
     pub fn index_publisher(mut self, every: usize, sink: Arc<dyn SnapshotSink>) -> Self {
-        self.opts.publish = Some(PublishPolicy::new(every, sink));
+        self.publish = Some(PublishPolicy::new(every, sink));
         self
-    }
-
-    /// Override the on-disk checkpoint schedule for this run only (the
-    /// config's own [`StudyConfig::checkpoint`] stays untouched).
-    pub fn checkpoint_sink(self, path: impl Into<String>, every: usize) -> StudyBuilderOwned<'a> {
-        StudyBuilderOwned {
-            study: {
-                let mut s = self.study.clone();
-                s.checkpoint = Some(cc_crawler::CheckpointPolicy {
-                    path: path.into(),
-                    every,
-                });
-                s
-            },
-            opts: self.opts,
-            progress: self.progress,
-        }
     }
 
     /// Execute: generate the world, run the crawl through the
     /// work-stealing executor, and run the analysis pipeline.
     pub fn run(self) -> Result<Study, CcError> {
-        run_facade_study(self.study, self.opts, self.progress)
-    }
-}
-
-/// A [`StudyBuilder`] whose config was copied to apply a per-run
-/// override (see [`StudyBuilder::checkpoint_sink`]).
-#[derive(Debug)]
-#[must_use = "a StudyBuilder does nothing until .run() is called"]
-pub struct StudyBuilderOwned<'a> {
-    study: StudyConfig,
-    opts: StudyRunOptions,
-    progress: Option<&'a ProgressCounters>,
-}
-
-impl StudyBuilderOwned<'_> {
-    /// Execute: see [`StudyBuilder::run`].
-    pub fn run(self) -> Result<Study, CcError> {
-        run_facade_study(&self.study, self.opts, self.progress)
-    }
-}
-
-fn run_facade_study(
-    study: &StudyConfig,
-    opts: StudyRunOptions,
-    progress: Option<&ProgressCounters>,
-) -> Result<Study, CcError> {
-    if let Some(p) = progress {
-        if p.n_workers() != study.workers {
-            return Err(CcError::cli(format!(
-                "progress counters sized for {} workers, study has {}",
-                p.n_workers(),
-                study.workers
-            )));
+        let study = self.study;
+        if let Some(p) = self.progress {
+            if p.n_workers() != study.workers {
+                return Err(CcError::cli(format!(
+                    "progress counters sized for {} workers, study has {}",
+                    p.n_workers(),
+                    study.workers
+                )));
+            }
         }
+        let web = {
+            let _span = telemetry::span("study.generate_web");
+            generate(&study.web)
+        };
+        let owned_progress;
+        let progress = match self.progress {
+            Some(p) => p,
+            None => {
+                owned_progress = ProgressCounters::new(study.workers);
+                &owned_progress
+            }
+        };
+        let dataset = {
+            let _span = telemetry::span("study.crawl");
+            let mut run = StudyRun::new(&web, study).progress(progress);
+            if let Some(ck) = self.resume {
+                run = run.resume(ck);
+            }
+            if let Some(n) = self.stop_after {
+                run = run.stop_after(n);
+            }
+            if let Some(policy) = self.publish {
+                run = run.publish(policy);
+            }
+            run.run()?
+        };
+        let output = {
+            let _span = telemetry::span("study.pipeline");
+            cc_core::run_pipeline(&dataset)
+        };
+        Ok(Study {
+            web,
+            dataset,
+            output,
+            progress: Some(progress.snapshot()),
+        })
     }
-    let web = {
-        let _span = telemetry::span("study.generate_web");
-        generate(&study.web)
-    };
-    let owned_progress;
-    let progress = match progress {
-        Some(p) => p,
-        None => {
-            owned_progress = ProgressCounters::new(study.workers);
-            &owned_progress
-        }
-    };
-    let dataset = {
-        let _span = telemetry::span("study.crawl");
-        StudyRun::new(&web, study).options(opts).progress(progress).run()?
-    };
-    let output = {
-        let _span = telemetry::span("study.pipeline");
-        cc_core::run_pipeline(&dataset)
-    };
-    Ok(Study {
-        web,
-        dataset,
-        output,
-        progress: Some(progress.snapshot()),
-    })
 }
 
 #[cfg(test)]

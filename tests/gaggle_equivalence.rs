@@ -8,9 +8,9 @@
 use std::process::{Child, Command, Stdio};
 
 use cc_analysis::report::full_report;
-use cc_crawler::StudyConfig;
+use cc_crawler::{CrawlCheckpoint, StudyConfig, StudyRun};
 use cc_gaggle::{GaggleConfig, Manager, ManagerOptions, ManagerOutcome};
-use cc_web::WebConfig;
+use cc_web::{generate, WebConfig};
 use crumbcruncher::Study;
 
 fn study() -> StudyConfig {
@@ -56,14 +56,17 @@ fn spawn_worker(addr: &str, slow_ms: Option<u64>) -> Child {
 }
 
 fn run_gaggle(n_workers: usize) -> ManagerOutcome {
+    run_gaggle_study(&study(), ManagerOptions::default(), n_workers)
+}
+
+fn run_gaggle_study(study: &StudyConfig, opts: ManagerOptions, n_workers: usize) -> ManagerOutcome {
     let cfg = GaggleConfig {
         bind: "127.0.0.1:0".into(),
         workers_expected: n_workers,
         lease_walks: 5,
         lease_timeout_ms: 3_000,
     };
-    let manager =
-        Manager::start(&study(), cfg, ManagerOptions::default()).expect("manager starts");
+    let manager = Manager::start(study, cfg, opts).expect("manager starts");
     let addr = manager.addr().to_string();
     let mut children: Vec<Child> = (0..n_workers).map(|_| spawn_worker(&addr, None)).collect();
     let outcome = manager.join().expect("gaggle run completes");
@@ -146,4 +149,52 @@ fn gaggle_survives_a_worker_killed_mid_lease() {
             || stats.leases_reissued >= 1,
         "lease accounting inconsistent: {stats:?}"
     );
+}
+
+/// The manager's checkpoints against a single-process run's. A checkpoint
+/// embeds its own path in the study config, so both sides write the same
+/// path one after the other and the bytes are copied aside in between.
+#[test]
+fn gaggle_checkpoints_match_single_process() {
+    let path = std::env::temp_dir().join(format!("cc-gaggle-ck-{}.json", std::process::id()));
+    let path = path.to_str().expect("temp path is UTF-8").to_string();
+    let mut study = study();
+    study.checkpoint = Some(cc_crawler::CheckpointPolicy {
+        path: path.clone(),
+        every: 4,
+    });
+    let _ = std::fs::remove_file(&path);
+
+    let solo = Study::from_config(&study).expect("single-process study runs");
+    let solo_walks = solo.dataset.to_json().expect("dataset serializes");
+    let solo_ck = std::fs::read(&path).expect("single-process run leaves a checkpoint");
+    std::fs::remove_file(&path).expect("checkpoint removed");
+
+    // (a) A checkpointing manager ends on the same final checkpoint.
+    let outcome = run_gaggle_study(&study, ManagerOptions::default(), 2);
+    let gaggle_walks = outcome.dataset.to_json().expect("dataset serializes");
+    assert!(solo_walks == gaggle_walks, "gaggle dataset diverged");
+    let gaggle_ck = std::fs::read(&path).expect("manager leaves a checkpoint");
+    assert!(solo_ck == gaggle_ck, "final gaggle checkpoint bytes diverged");
+
+    // (b) A manager resuming a killed single-process crawl's checkpoint
+    // assembles the single-process dataset.
+    let web = generate(&study.web);
+    let killed = StudyRun::new(&web, &study)
+        .stop_after(7)
+        .run()
+        .expect("killed crawl drains");
+    assert_eq!(killed.walks.len(), 7);
+    let ck = CrawlCheckpoint::load(&path).expect("killed crawl leaves a checkpoint");
+    assert_eq!(ck.partial.walks.len(), 7);
+    let opts = ManagerOptions {
+        resume: Some(ck),
+        progress: None,
+    };
+    let outcome = run_gaggle_study(&study, opts, 2);
+    let resumed_walks = outcome.dataset.to_json().expect("dataset serializes");
+    assert!(solo_walks == resumed_walks, "resumed gaggle dataset diverged");
+    let resumed_ck = std::fs::read(&path).expect("resumed manager leaves a checkpoint");
+    assert!(solo_ck == resumed_ck, "resumed gaggle checkpoint bytes diverged");
+    std::fs::remove_file(&path).ok();
 }

@@ -206,3 +206,23 @@ fn telemetry_is_silent_without_a_session() {
     assert!(report.deterministic.counters.is_empty());
     assert!(report.timing.spans.is_empty());
 }
+
+#[test]
+fn final_checkpoint_is_not_written_twice() {
+    let _exclusive = exclusive();
+    let path = std::env::temp_dir().join(format!("cc-write-count-{}.json", std::process::id()));
+    let mut study = study(5, 2);
+    study.checkpoint = Some(cc_crawler::CheckpointPolicy {
+        path: path.to_str().expect("temp path is UTF-8").to_string(),
+        every: 4,
+    });
+    let session = Session::start();
+    StudyRun::new(&generate(&study.web), &study)
+        .run()
+        .expect("crawl runs");
+    let counters = session.report().deterministic.counters;
+    // Writes at 4, 8 and 12 walks; the one at 12 already holds every walk,
+    // so finishing the crawl writes nothing more.
+    assert_eq!(counters["crawl.checkpoint.writes"], 3, "{counters:?}");
+    std::fs::remove_file(&path).ok();
+}
