@@ -6,7 +6,7 @@
 //! chi-square-style uniformity statistic so the expectation is checkable
 //! rather than assumed.
 
-use cc_crawler::{CrawlDataset, WalkTermination};
+use cc_crawler::CrawlDataset;
 use serde::{Deserialize, Serialize};
 
 /// Failure accounting for one step index across the whole crawl.
@@ -52,12 +52,7 @@ pub fn failures_by_step(dataset: &CrawlDataset, steps_per_walk: usize) -> StepFa
         .collect();
 
     for walk in &dataset.walks {
-        let failed_at = match &walk.termination {
-            WalkTermination::Completed => None,
-            WalkTermination::SyncFailure { step }
-            | WalkTermination::Divergence { step }
-            | WalkTermination::ConnectFailure { step, .. } => Some(*step),
-        };
+        let failed_at = walk.termination.failed_at();
         let reached = failed_at.unwrap_or(steps_per_walk.saturating_sub(1));
         for row in rows.iter_mut().take(reached + 1) {
             row.attempts += 1;
@@ -135,7 +130,7 @@ mod tests {
     fn synthetic_step_bias_is_detected() {
         // Sanity-check the statistic itself: a hand-built dataset failing
         // exclusively at step 0 must produce a large chi-square.
-        use cc_crawler::{FailureStats, StepRecord, WalkRecord};
+        use cc_crawler::{StepRecord, WalkRecord, WalkTermination};
         let mut ds = CrawlDataset::default();
         for i in 0..60u32 {
             let termination = if i % 2 == 0 {
@@ -156,7 +151,6 @@ mod tests {
                 recovery: Default::default(),
             });
         }
-        ds.failures = FailureStats::default();
         let report = failures_by_step(&ds, 5);
         assert!(
             report.chi_square > 30.0,

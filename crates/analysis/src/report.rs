@@ -67,7 +67,7 @@ pub struct AnalysisReport {
     pub bounce: BounceStats,
     /// Fingerprinting experiment (§3.5).
     pub fingerprint: FingerprintExperiment,
-    /// §3.3 crawl failure accounting.
+    /// §3.3 crawl failure accounting, derived from the walk terminations.
     pub failures: FailureStats,
     /// Retry/breaker activity summed over every walk (all zeros when the
     /// crawl ran with fault tolerance disabled).
@@ -264,9 +264,9 @@ pub fn full_report(
         fig8: section("report.fig8", || figure8(output)),
         bounce: section("report.bounce", || bounce_stats(output)),
         fingerprint: section("report.fingerprint", || fingerprint_experiment(web, output)),
-        failures: dataset.failures,
+        failures: dataset.failures(),
         recovery: dataset.recovery_totals(),
-        ledger: dataset.ledger.clone(),
+        ledger: dataset.ledger(),
         cloaked: section("report.cloaking", || detect_cloaking(web, dataset, output)),
         manual_entered: output.stats.entered_manual,
         manual_removed: output.stats.manual_removed,

@@ -97,9 +97,7 @@ mod tests {
     use cc_browser::StorageSnapshot;
     use cc_core::pipeline::UidFinding;
     use cc_core::ComboClass;
-    use cc_crawler::{
-        CrawlObservation, CrawlerName, FailureStats, StepRecord, WalkRecord, WalkTermination,
-    };
+    use cc_crawler::{CrawlObservation, CrawlerName, StepRecord, WalkRecord, WalkTermination};
     use cc_url::Url;
     use std::collections::{BTreeMap, BTreeSet as Set};
 
@@ -131,8 +129,6 @@ mod tests {
                 termination: WalkTermination::Completed,
                 recovery: Default::default(),
             }],
-            failures: FailureStats::default(),
-            ledger: Default::default(),
         }
     }
 

@@ -17,6 +17,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use cc_crawler::CrawlerName;
+use cc_telemetry::{CounterId, EventId};
 use serde::{Deserialize, Serialize};
 
 use crate::candidates::Candidate;
@@ -42,15 +43,16 @@ pub enum DiscardReason {
     Manual,
 }
 
-/// Telemetry label for a discard heuristic (low-cardinality, stable).
-fn discard_reason_label(reason: DiscardReason) -> &'static str {
+/// Telemetry event for a discard heuristic
+/// (`classify.token_rejected{heuristic=…}`, low-cardinality, stable).
+fn discard_reason_event(reason: DiscardReason) -> EventId {
     match reason {
-        DiscardReason::SameAcrossUsers => "same_across_users",
-        DiscardReason::SessionRotation => "session_rotation",
-        DiscardReason::TimestampOrDate => "timestamp_or_date",
-        DiscardReason::LooksLikeUrl => "looks_like_url",
-        DiscardReason::TooShort => "too_short",
-        DiscardReason::Manual => "manual",
+        DiscardReason::SameAcrossUsers => EventId::CLASSIFY_REJECTED_SAME_ACROSS_USERS,
+        DiscardReason::SessionRotation => EventId::CLASSIFY_REJECTED_SESSION_ROTATION,
+        DiscardReason::TimestampOrDate => EventId::CLASSIFY_REJECTED_TIMESTAMP_OR_DATE,
+        DiscardReason::LooksLikeUrl => EventId::CLASSIFY_REJECTED_LOOKS_LIKE_URL,
+        DiscardReason::TooShort => EventId::CLASSIFY_REJECTED_TOO_SHORT,
+        DiscardReason::Manual => EventId::CLASSIFY_REJECTED_MANUAL,
     }
 }
 
@@ -221,11 +223,8 @@ pub fn classify(
             Verdict::Discarded(_) => stats.programmatic += 1,
         }
         match verdict {
-            Verdict::Uid => cc_telemetry::counter_id(cc_telemetry::CounterId::CLASSIFY_UID_CONFIRMED, 1),
-            Verdict::Discarded(reason) => cc_telemetry::event(
-                "classify.token_rejected",
-                &[("heuristic", discard_reason_label(reason))],
-            ),
+            Verdict::Uid => cc_telemetry::counter_id(CounterId::CLASSIFY_UID_CONFIRMED, 1),
+            Verdict::Discarded(reason) => cc_telemetry::event_id(discard_reason_event(reason)),
         }
         if entered_manual {
             stats.entered_manual += 1;

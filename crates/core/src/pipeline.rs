@@ -6,6 +6,7 @@
 use std::collections::BTreeMap;
 
 use cc_crawler::{CrawlDataset, CrawlerName};
+use cc_telemetry::{counter_id, CounterId};
 use serde::{Deserialize, Serialize};
 
 use crate::candidates::{find_candidates, Candidate};
@@ -125,8 +126,8 @@ pub fn run_pipeline(dataset: &CrawlDataset) -> PipelineOutput {
             }
         }
     }
-    cc_telemetry::counter("pipeline.candidates.found", all_candidates.len() as u64);
-    cc_telemetry::counter("pipeline.paths.observed", all_paths.len() as u64);
+    counter_id(CounterId::PIPELINE_CANDIDATES_FOUND, all_candidates.len() as u64);
+    counter_id(CounterId::PIPELINE_PATHS_OBSERVED, all_paths.len() as u64);
 
     let (groups, stats) = {
         let _classify_span = cc_telemetry::span("pipeline.classify");
@@ -190,7 +191,7 @@ pub fn run_pipeline(dataset: &CrawlDataset) -> PipelineOutput {
         });
     }
 
-    cc_telemetry::counter("pipeline.findings.confirmed", findings.len() as u64);
+    counter_id(CounterId::PIPELINE_FINDINGS_CONFIRMED, findings.len() as u64);
     PipelineOutput {
         findings,
         groups,

@@ -7,7 +7,10 @@
 //! the embedded config lets `--resume` refuse a checkpoint produced under
 //! different parameters, and the truth ledger makes the resumed run's
 //! analysis report (not just its dataset) identical to an uninterrupted
-//! run's.
+//! run's. Nothing derivable is stored: the walk total comes from the
+//! config and the failure accounting from the walks, so the fields older
+//! v1 files carry for them (`total_walks`, `partial.failures`,
+//! `partial.ledger`) are ignored on load.
 //!
 //! Checkpoints are written atomically (temp file + rename) so a crash
 //! mid-write never leaves a truncated checkpoint behind.
@@ -38,10 +41,9 @@ pub const CHECKPOINT_SCHEMA: &str = "cc-checkpoint/v1";
 pub struct CrawlCheckpoint {
     /// Format identifier, always [`CHECKPOINT_SCHEMA`].
     pub schema: String,
-    /// The configuration the crawl ran under.
+    /// The configuration the crawl ran under (its walk total keys the
+    /// remainder).
     pub study: StudyConfig,
-    /// Total walks the full crawl comprises.
-    pub total_walks: usize,
     /// Walks recorded so far (any subset; ids key the remainder).
     pub partial: CrawlDataset,
     /// Ground-truth ledger at checkpoint time.
@@ -54,7 +56,6 @@ impl CrawlCheckpoint {
         CrawlCheckpoint {
             schema: CHECKPOINT_SCHEMA.to_string(),
             study: study.clone(),
-            total_walks: study.total_walks(),
             partial,
             truth,
         }
@@ -68,7 +69,7 @@ impl CrawlCheckpoint {
     /// Ids of the walks still to run, in order.
     pub fn remaining(&self) -> Vec<u32> {
         let done = self.completed();
-        (0..self.total_walks as u32)
+        (0..self.study.total_walks() as u32)
             .filter(|id| !done.contains(id))
             .collect()
     }
@@ -86,11 +87,11 @@ impl CrawlCheckpoint {
                 "checkpoint was produced under a different study configuration".into(),
             ));
         }
-        if self.partial.walks.len() > self.total_walks {
+        if self.partial.walks.len() > study.total_walks() {
             return Err(CcError::Checkpoint(format!(
-                "checkpoint holds {} walks but claims a total of {}",
+                "checkpoint holds {} walks but the study has {}",
                 self.partial.walks.len(),
-                self.total_walks
+                study.total_walks()
             )));
         }
         Ok(())
@@ -397,7 +398,7 @@ mod tests {
         partial.walks.push(walk(0));
         partial.walks.push(walk(3));
         let ck = CrawlCheckpoint::new(&study(), partial, TruthLog::new());
-        assert_eq!(ck.total_walks, 5);
+        assert_eq!(ck.study.total_walks(), 5);
         assert_eq!(ck.remaining(), vec![1, 2, 4]);
     }
 

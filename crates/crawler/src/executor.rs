@@ -20,7 +20,7 @@
 //!   ([`cc_web`]'s `TruthLog::note` commutes), so interleaved mint
 //!   notifications converge to one ledger;
 //! * per-worker datasets merge through [`CrawlDataset::merge`], which
-//!   re-sorts by walk id and sums failure counters commutatively.
+//!   re-sorts by walk id.
 //!
 //! Net effect: [`StudyRun`] with any worker count is **bit-identical** to
 //! [`Walker::crawl`] — the parallel-equivalence integration tests assert
@@ -33,7 +33,7 @@ use cc_web::SimWeb;
 
 use crate::checkpoint::{CrawlCheckpoint, CrawlLedger, PublishPolicy};
 use crate::config::StudyConfig;
-use crate::record::{CrawlDataset, FailureStats};
+use crate::record::CrawlDataset;
 use crate::walker::Walker;
 
 /// The shared walk queue: per-worker reserved prefixes plus a batched
@@ -304,14 +304,8 @@ fn crawl_ids_sharded(
                         }
                         claimed += 1;
                         let walk_id = ids[i];
-                        // Fresh per-walk failure accounting so checkpoints
-                        // carry exact counts for exactly the walks they
-                        // hold (sums commute into the same totals).
-                        let mut wf = FailureStats::default();
-                        let walk = walker.walk(walk_id, seeders[walk_id as usize].clone(), &mut wf);
+                        let walk = walker.walk(walk_id, seeders[walk_id as usize].clone());
                         progress.record_walk(worker, walk.steps.len() as u64);
-                        shard.failures.absorb(wf);
-                        shard.ledger.note(&walk);
                         shard.walks.push(walk);
                         if let Some(l) = ledger {
                             l.absorb(std::mem::take(&mut shard));
@@ -561,7 +555,7 @@ mod tests {
         for s in snaps.iter() {
             assert!(s.partial.walks.len() >= last, "snapshot walk counts regressed");
             last = s.partial.walks.len();
-            assert_eq!(s.total_walks, 12);
+            assert_eq!(s.study.total_walks(), 12);
             s.validate_against(&study).expect("snapshot carries the study config");
         }
         let final_snap = snaps.last().unwrap();

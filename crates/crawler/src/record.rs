@@ -5,6 +5,9 @@
 //! element, "all navigation web requests" through the redirect chain, and
 //! the same records on the destination. The paper publishes this dataset;
 //! ours is serde-serializable for the same purpose.
+//!
+//! Only walks are stored: the §3.3 [`FailureStats`] and the degraded-walk
+//! [`FailureLedger`] are computed from the walks' terminations.
 
 use cc_browser::StorageSnapshot;
 use cc_net::RecoveryStats;
@@ -83,6 +86,18 @@ pub enum WalkTermination {
     },
 }
 
+impl WalkTermination {
+    /// The step the walk failed at, or `None` when it completed.
+    pub fn failed_at(&self) -> Option<usize> {
+        match self {
+            WalkTermination::Completed => None,
+            WalkTermination::SyncFailure { step }
+            | WalkTermination::Divergence { step }
+            | WalkTermination::ConnectFailure { step, .. } => Some(*step),
+        }
+    }
+}
+
 /// One ten-step random walk from a seeder domain.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct WalkRecord {
@@ -99,7 +114,8 @@ pub struct WalkRecord {
     pub recovery: RecoveryStats,
 }
 
-/// Aggregate failure accounting (the §3.3 evaluation).
+/// Aggregate failure accounting (the §3.3 evaluation), derived from the
+/// walks by [`CrawlDataset::failures`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub struct FailureStats {
     /// Steps the controller attempted to synchronize.
@@ -115,16 +131,6 @@ pub struct FailureStats {
 }
 
 impl FailureStats {
-    /// Add another accounting into this one. Sums commute, so per-worker
-    /// stats aggregate to the same totals in any order.
-    pub fn absorb(&mut self, other: FailureStats) {
-        self.steps_attempted += other.steps_attempted;
-        self.steps_completed += other.steps_completed;
-        self.sync_failures += other.sync_failures;
-        self.divergence_failures += other.divergence_failures;
-        self.connect_failures += other.connect_failures;
-    }
-
     /// Fraction of attempted steps that failed to synchronize.
     pub fn sync_failure_rate(&self) -> f64 {
         ratio(self.sync_failures, self.steps_attempted)
@@ -166,10 +172,8 @@ pub struct FailureEntry {
     pub recovery: RecoveryStats,
 }
 
-/// The audit trail of degraded walks, consumed by the analysis report.
-///
-/// Entries are keyed by global walk id and re-sorted on merge, so the
-/// ledger — like the dataset — is identical for serial and parallel runs.
+/// The audit trail of degraded walks, consumed by the analysis report: a
+/// view of the dataset's walks ([`CrawlDataset::ledger`]), never stored.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub struct FailureLedger {
     /// Degraded walks, ordered by walk id.
@@ -177,26 +181,6 @@ pub struct FailureLedger {
 }
 
 impl FailureLedger {
-    /// Record a walk if it degraded (non-`Completed` termination).
-    pub fn note(&mut self, walk: &WalkRecord) {
-        if walk.termination == WalkTermination::Completed {
-            return;
-        }
-        self.entries.push(FailureEntry {
-            walk_id: walk.walk_id,
-            seeder: walk.seeder.clone(),
-            steps_recorded: walk.steps.len(),
-            termination: walk.termination.clone(),
-            recovery: walk.recovery,
-        });
-    }
-
-    /// Fold another ledger in, restoring walk-id order (commutative).
-    pub fn absorb(&mut self, other: FailureLedger) {
-        self.entries.extend(other.entries);
-        self.entries.sort_by_key(|e| e.walk_id);
-    }
-
     /// Number of degraded walks.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -208,43 +192,72 @@ impl FailureLedger {
     }
 }
 
-/// A complete crawl: every walk plus the failure accounting.
+/// A complete crawl: every walk. The §3.3 failure accounting and the
+/// degraded-walk ledger are views of the walks' terminations.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize, Default)]
 pub struct CrawlDataset {
     /// All walks.
     pub walks: Vec<WalkRecord>,
-    /// Failure accounting.
-    pub failures: FailureStats,
-    /// Degraded-walk audit trail (empty when every walk completed).
-    pub ledger: FailureLedger,
 }
 
 impl CrawlDataset {
-    /// Merge partial datasets (shards, parallel-worker outputs) into one.
-    ///
-    /// Deterministic regardless of input order: walks are keyed by their
-    /// *global* walk id and re-sorted, and the failure counters sum
-    /// commutatively — so a merged parallel crawl is byte-identical to
-    /// the serial crawl of the same walk set.
+    /// Merge partial datasets (shards, parallel-worker outputs) into one:
+    /// concatenate, then sort by walk id. Walk ids are global, so the
+    /// merge of any partition in any order is byte-identical to the
+    /// serial crawl of the same walk set.
     pub fn merge(parts: impl IntoIterator<Item = CrawlDataset>) -> CrawlDataset {
         let parts: Vec<CrawlDataset> = parts.into_iter().collect();
-        let mut out = CrawlDataset::default();
-        // One allocation for the merged vectors instead of doubling-growth
+        // One allocation for the merged walks instead of doubling-growth
         // reallocations as shards stream in.
-        out.walks
-            .reserve(parts.iter().map(|p| p.walks.len()).sum());
-        out.ledger
-            .entries
-            .reserve(parts.iter().map(|p| p.ledger.len()).sum());
+        let mut walks = Vec::with_capacity(parts.iter().map(|p| p.walks.len()).sum());
         for part in parts {
-            out.walks.extend(part.walks);
-            out.failures.absorb(part.failures);
-            out.ledger.absorb(part.ledger);
+            walks.extend(part.walks);
         }
         // Walk ids are globally unique, so the faster unstable sort is
         // still deterministic.
-        out.walks.sort_unstable_by_key(|w| w.walk_id);
-        out
+        walks.sort_unstable_by_key(|w| w.walk_id);
+        CrawlDataset { walks }
+    }
+
+    /// The §3.3 failure accounting, folded from the walk terminations: a
+    /// walk that failed at step `s` attempted `s + 1` steps and completed
+    /// `s`, a completed walk attempted and completed every recorded step,
+    /// and each failure counts once in its class.
+    pub fn failures(&self) -> FailureStats {
+        let mut f = FailureStats::default();
+        for w in &self.walks {
+            let (attempted, completed) = match w.termination.failed_at() {
+                Some(step) => (step + 1, step),
+                None => (w.steps.len(), w.steps.len()),
+            };
+            f.steps_attempted += attempted as u64;
+            f.steps_completed += completed as u64;
+            match w.termination {
+                WalkTermination::Completed => {}
+                WalkTermination::SyncFailure { .. } => f.sync_failures += 1,
+                WalkTermination::Divergence { .. } => f.divergence_failures += 1,
+                WalkTermination::ConnectFailure { .. } => f.connect_failures += 1,
+            }
+        }
+        f
+    }
+
+    /// The degraded walks (every non-`Completed` termination), in the
+    /// dataset's walk-id order.
+    pub fn ledger(&self) -> FailureLedger {
+        let entries = self
+            .walks
+            .iter()
+            .filter(|w| w.termination.failed_at().is_some())
+            .map(|w| FailureEntry {
+                walk_id: w.walk_id,
+                seeder: w.seeder.clone(),
+                steps_recorded: w.steps.len(),
+                termination: w.termination.clone(),
+                recovery: w.recovery,
+            })
+            .collect();
+        FailureLedger { entries }
     }
 
     /// Sum of every walk's retry/breaker accounting.
@@ -316,53 +329,58 @@ mod tests {
                 termination: WalkTermination::Completed,
                 recovery: RecoveryStats::default(),
             }],
-            failures: FailureStats {
-                steps_attempted: 10,
-                steps_completed: 9,
-                sync_failures: 1,
-                divergence_failures: 0,
-                connect_failures: 0,
-            },
-            ledger: FailureLedger::default(),
         };
         let json = ds.to_json().unwrap();
         let back = CrawlDataset::from_json(&json).unwrap();
         assert_eq!(back, ds);
         assert_eq!(back.total_steps(), 1);
         assert_eq!(back.observations().count(), 1);
-        // The released format carries the fault-tolerance fields even for
-        // clean runs, so consumers see an explicit all-zero accounting.
-        assert!(json.contains("recovery") && json.contains("ledger"));
+        // Each walk carries its own recovery stats; the failure accounting
+        // is derived from the walks, not stored beside them.
+        assert!(json.contains("recovery") && !json.contains("ledger"));
     }
 
     #[test]
-    fn ledger_notes_only_degraded_walks_and_merges_sorted() {
-        let walk = |id: u32, termination: WalkTermination| WalkRecord {
+    fn failures_and_ledger_derive_from_terminations() {
+        let walk = |id: u32, steps: usize, termination| WalkRecord {
             walk_id: id,
             seeder: format!("s{id}.com").into(),
-            steps: Vec::new(),
+            steps: vec![StepRecord::default(); steps],
             termination,
             recovery: RecoveryStats {
                 retries: u64::from(id),
                 ..RecoveryStats::default()
             },
         };
-        let mut a = FailureLedger::default();
-        a.note(&walk(3, WalkTermination::SyncFailure { step: 1 }));
-        a.note(&walk(1, WalkTermination::Completed)); // not recorded
-        let mut b = FailureLedger::default();
-        b.note(&walk(
-            0,
-            WalkTermination::ConnectFailure {
-                step: 0,
-                error: "network error: ECONNRESET".into(),
+        let error = "network error: ECONNRESET".to_string();
+        let ds = CrawlDataset::merge([
+            CrawlDataset {
+                walks: vec![
+                    walk(3, 2, WalkTermination::SyncFailure { step: 1 }),
+                    walk(1, 4, WalkTermination::Completed),
+                ],
             },
-        ));
-        a.absorb(b);
-        assert_eq!(a.len(), 2);
-        assert_eq!(a.entries[0].walk_id, 0);
-        assert_eq!(a.entries[1].walk_id, 3);
-        assert_eq!(a.entries[1].recovery.retries, 3);
+            CrawlDataset {
+                walks: vec![
+                    walk(0, 0, WalkTermination::ConnectFailure { step: 0, error }),
+                    walk(2, 3, WalkTermination::Divergence { step: 2 }),
+                ],
+            },
+        ]);
+        let ledger = ds.ledger();
+        let ids: Vec<u32> = ledger.entries.iter().map(|e| e.walk_id).collect();
+        assert_eq!(ids, vec![0, 2, 3], "completed walks are not ledgered");
+        assert_eq!(ledger.entries[2].steps_recorded, 2);
+        assert_eq!(ledger.entries[2].recovery.retries, 3);
+        // Walks 0..=3 attempted 1 + 4 + 3 + 2 steps and completed 0 + 4 + 2 + 1.
+        let expected = FailureStats {
+            steps_attempted: 10,
+            steps_completed: 7,
+            sync_failures: 1,
+            divergence_failures: 1,
+            connect_failures: 1,
+        };
+        assert_eq!(ds.failures(), expected);
     }
 
     #[test]

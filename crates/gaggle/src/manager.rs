@@ -188,10 +188,6 @@ impl Shared {
             let lease = st.outstanding.remove(&id).expect("expired lease vanished");
             st.stats.leases_expired += 1;
             cc_telemetry::counter_id(CounterId::GAGGLE_LEASES_EXPIRED, 1);
-            cc_telemetry::event(
-                "gaggle.lease.expired",
-                &[("worker", &lease.worker.to_string())],
-            );
             st.pending.push_back(PendingLease {
                 ids: lease.ids,
                 reissue: true,
@@ -483,12 +479,7 @@ fn handle_worker(shared: Arc<Shared>, mut stream: TcpStream, worker_id: u32) {
         }
     };
     match hello {
-        Frame::Hello { protocol, label } if protocol == PROTOCOL => {
-            cc_telemetry::event(
-                "gaggle.worker.connected",
-                &[("worker", &worker_id.to_string()), ("label", &label)],
-            );
-        }
+        Frame::Hello { protocol, .. } if protocol == PROTOCOL => {}
         Frame::Hello { protocol, .. } => {
             let _ = shared.send(
                 &mut stream,

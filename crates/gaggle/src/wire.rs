@@ -167,7 +167,7 @@ pub enum Frame {
     ShardResult {
         /// The lease this shard fulfills.
         lease_id: u64,
-        /// The crawled walks + failure stats for exactly the leased ids.
+        /// The crawled walks for exactly the leased ids.
         shard: CrawlDataset,
         /// The worker's full truth-ledger snapshot. Merging is idempotent
         /// (identical mints converge), so shipping the whole ledger every

@@ -187,7 +187,7 @@ impl ServingIndex {
         web.absorb_truth(&ck.truth);
         let output = cc_core::run_pipeline(&ck.partial);
         let mut index = Self::build(web, &ck.partial, &output)?;
-        index.set_epoch(epoch, ck.total_walks);
+        index.set_epoch(epoch, ck.study.total_walks());
         Ok(index)
     }
 

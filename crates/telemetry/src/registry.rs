@@ -115,6 +115,9 @@ declare_ids! {
     CRAWL_RESUME_WALKS_RESTORED => "crawl.resume.walks_restored",
     CRAWL_RESUME_WALKS_REMAINING => "crawl.resume.walks_remaining",
     CLASSIFY_UID_CONFIRMED => "classify.uid_confirmed",
+    PIPELINE_CANDIDATES_FOUND => "pipeline.candidates.found",
+    PIPELINE_PATHS_OBSERVED => "pipeline.paths.observed",
+    PIPELINE_FINDINGS_CONFIRMED => "pipeline.findings.confirmed",
     SERVE_REQUESTS => "serve.requests",
     SERVE_SESSIONS => "serve.sessions",
     SERVE_REVALIDATED_304 => "serve.revalidated_304",
@@ -144,6 +147,12 @@ declare_ids! {
     CRAWL_WALK_DIVERGENCE => "crawl.walk.terminated{kind=divergence}",
     CRAWL_WALK_CONNECT_FAILURE => "crawl.walk.terminated{kind=connect_failure}",
     BROWSER_REDIRECT_CHAIN_TRUNCATED => "browser.redirect_chain.truncated",
+    CLASSIFY_REJECTED_SAME_ACROSS_USERS => "classify.token_rejected{heuristic=same_across_users}",
+    CLASSIFY_REJECTED_SESSION_ROTATION => "classify.token_rejected{heuristic=session_rotation}",
+    CLASSIFY_REJECTED_TIMESTAMP_OR_DATE => "classify.token_rejected{heuristic=timestamp_or_date}",
+    CLASSIFY_REJECTED_LOOKS_LIKE_URL => "classify.token_rejected{heuristic=looks_like_url}",
+    CLASSIFY_REJECTED_TOO_SHORT => "classify.token_rejected{heuristic=too_short}",
+    CLASSIFY_REJECTED_MANUAL => "classify.token_rejected{heuristic=manual}",
 }
 
 declare_ids! {

@@ -898,7 +898,8 @@ impl Plane {
     /// ask for, and bind `--obs-addr`. `workers` sizes the progress rows.
     fn start(cli: &Cli, workers: usize) -> Result<Plane, CcError> {
         // Fail fast on unwritable artifact paths — before the crawl, not
-        // after an hour of it.
+        // after an hour of it. A file the probe had to create is removed
+        // again, so a run that fails later leaves no empty artifact.
         for (flag, path) in [
             ("--metrics-out", cli.metrics_out.as_deref()),
             ("--trace-out", cli.trace_out.as_deref()),
@@ -906,11 +907,15 @@ impl Plane {
             ("--out", cli.out.as_deref()),
         ] {
             if let Some(path) = path {
+                let existed = std::path::Path::new(path).exists();
                 std::fs::OpenOptions::new()
                     .create(true)
                     .append(true)
                     .open(path)
                     .map_err(|e| CcError::cli(format!("{flag} {path}: not writable: {e}")))?;
+                if !existed {
+                    let _ = std::fs::remove_file(path);
+                }
             }
         }
         // The observer's warming index is built before the session
@@ -1856,6 +1861,29 @@ mod tests {
         assert!(parse(&argv("report --obs-addr")).is_err());
         assert!(parse(&argv("report --trace-out")).is_err());
         assert!(parse(&argv("report --dashboard-out")).is_err());
+    }
+
+    #[test]
+    fn failed_crawl_leaves_no_empty_artifact() {
+        let dir = std::env::temp_dir().join(format!("ccrs-failed-run-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let (out, kept) = (dir.join("x.json"), dir.join("kept.json"));
+        std::fs::write(&kept, "earlier run").unwrap();
+        for path in [&out, &kept] {
+            // The checkpoint directory is missing: the crawl fails after
+            // the artifact paths were probed.
+            let cli = parse(&argv(&format!(
+                "crawl --sites 60 --seeders 10 --steps 2 --checkpoint {}/nodir/ck.json \
+                 --checkpoint-every 1 --out {}",
+                dir.display(),
+                path.display()
+            )))
+            .unwrap();
+            assert!(matches!(run(&cli), Err(CcError::Io { .. })));
+        }
+        assert!(!out.exists(), "a failed crawl left an empty --out file");
+        assert_eq!(std::fs::read_to_string(&kept).unwrap(), "earlier run");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -166,11 +166,11 @@ fn degraded_walks_are_ledgered_not_lost() {
         .filter(|w| !matches!(w.termination, cc_crawler::WalkTermination::Completed))
         .count();
     assert_eq!(
-        dataset.ledger.len(),
+        dataset.ledger().len(),
         degraded,
         "every early-terminated walk gets a ledger entry"
     );
-    for entry in &dataset.ledger.entries {
+    for entry in &dataset.ledger().entries {
         let walk = dataset
             .walks
             .iter()
@@ -269,4 +269,62 @@ proptest! {
         prop_assert_eq!(full.to_json().unwrap(), resumed.to_json().unwrap());
         std::fs::remove_file(&path).ok();
     }
+}
+
+#[test]
+fn resume_reads_failure_accounting_from_the_walks() {
+    // The walks are authoritative: a v1 checkpoint whose stored tallies,
+    // degraded-walk ledger and walk total are corrupt still resumes to
+    // the uninterrupted dataset and report, because the accounting is
+    // derived from the walks and the total from the study config.
+    let path = temp_path("derived-accounting.json");
+    let web = WebConfig {
+        n_sites: 200,
+        n_seeders: 100,
+        ..WebConfig::small()
+    };
+    let config = StudyConfig {
+        steps: 3,
+        walks: Some(100),
+        checkpoint: Some(cc_crawler::CheckpointPolicy {
+            path: path.clone(),
+            every: 10,
+        }),
+        ..faulty_config_for(web, 4)
+    };
+    let full = Study::from_config(&config).unwrap();
+    assert!(full.report().failures.connect_failures > 0);
+    Study::builder(&config).stop_after(40).run().unwrap();
+
+    let json = std::fs::read_to_string(&path).unwrap();
+    let mut doc: serde_json::Value = serde_json::from_str(&json).unwrap();
+    let serde_json::Value::Object(top) = &mut doc else {
+        panic!("checkpoint is not a JSON object");
+    };
+    let Some(serde_json::Value::Object(mut partial)) = top.get("partial").cloned() else {
+        panic!("checkpoint embeds no partial dataset");
+    };
+    let value = |s: &str| serde_json::from_str::<serde_json::Value>(s).unwrap();
+    partial.insert(
+        "failures".into(),
+        value(r#"{"steps_attempted":0,"steps_completed":0,"sync_failures":0,"divergence_failures":0,"connect_failures":0}"#),
+    );
+    partial.insert("ledger".into(), value(r#"{"entries":[]}"#));
+    top.insert("partial".into(), serde_json::Value::Object(partial));
+    top.insert("total_walks".into(), value("40"));
+    std::fs::write(&path, serde_json::to_string(&doc).unwrap()).unwrap();
+
+    let resumed = Study::resume(&config, &path).unwrap();
+    // `assert!`, not `assert_eq!`: both sides are megabytes long.
+    assert!(
+        full.dataset.to_json().unwrap() == resumed.dataset.to_json().unwrap(),
+        "resumed dataset diverged ({} of 100 walks)",
+        resumed.dataset.walks.len()
+    );
+    assert!(
+        serde_json::to_string(&full.report()).unwrap()
+            == serde_json::to_string(&resumed.report()).unwrap(),
+        "resumed report diverged"
+    );
+    std::fs::remove_file(&path).ok();
 }

@@ -59,7 +59,7 @@ fn world_artifacts(
         Some(n) => crawl_study(&web, &study(world, seed, n)).expect("crawl runs"),
     };
     let walks = serde_json::to_string(&dataset.walks).expect("walks serialize");
-    let failures = serde_json::to_string(&dataset.failures).expect("failures serialize");
+    let failures = serde_json::to_string(&dataset.failures()).expect("failures serialize");
     let truth = serde_json::to_string(&web.truth_snapshot()).expect("truth serializes");
     (walks, failures, truth)
 }

@@ -1,7 +1,7 @@
 //! Cross-crate property tests: the stack must hold its invariants for
 //! arbitrary (small) configurations, not just the calibrated defaults.
 
-use cc_crawler::{CrawlConfig, CrawlerName, FailureStats, Walker};
+use cc_crawler::{CrawlConfig, CrawlerName, Walker};
 use cc_web::{generate, WebConfig};
 use proptest::prelude::*;
 
@@ -50,7 +50,7 @@ proptest! {
         let out = cc_core::run_pipeline(&ds);
 
         // Failure accounting always balances.
-        let f = ds.failures;
+        let f = ds.failures();
         prop_assert_eq!(
             f.steps_attempted,
             f.steps_completed + f.sync_failures + f.divergence_failures + f.connect_failures
@@ -109,55 +109,5 @@ proptest! {
         if score.true_positives + score.false_positives >= 10 {
             prop_assert!(score.precision() >= 0.5, "precision collapsed: {:?}", score);
         }
-    }
-}
-
-fn arb_failure_stats() -> impl Strategy<Value = FailureStats> {
-    // Bounded well below u64::MAX / 3 so three-way sums cannot overflow.
-    let n = 0u64..1_000_000;
-    (n.clone(), n.clone(), n.clone(), n.clone(), n).prop_map(
-        |(steps_attempted, steps_completed, sync_failures, divergence_failures, connect_failures)| {
-            FailureStats {
-                steps_attempted,
-                steps_completed,
-                sync_failures,
-                divergence_failures,
-                connect_failures,
-            }
-        },
-    )
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
-
-    /// `FailureStats::absorb` is commutative and associative, with the
-    /// default stats as identity. `CrawlDataset::merge` relies on this:
-    /// per-worker failure accounting must aggregate to the same totals no
-    /// matter which worker finishes first or how shards are grouped.
-    #[test]
-    fn failure_stats_absorb_is_order_independent(
-        (a, b, c) in (arb_failure_stats(), arb_failure_stats(), arb_failure_stats())
-    ) {
-        // Commutativity: a ⊕ b == b ⊕ a.
-        let mut ab = a;
-        ab.absorb(b);
-        let mut ba = b;
-        ba.absorb(a);
-        prop_assert_eq!(ab, ba);
-
-        // Associativity: (a ⊕ b) ⊕ c == a ⊕ (b ⊕ c).
-        let mut left = ab;
-        left.absorb(c);
-        let mut bc = b;
-        bc.absorb(c);
-        let mut right = a;
-        right.absorb(bc);
-        prop_assert_eq!(left, right);
-
-        // Identity: absorbing the default changes nothing.
-        let mut with_identity = a;
-        with_identity.absorb(FailureStats::default());
-        prop_assert_eq!(with_identity, a);
     }
 }
